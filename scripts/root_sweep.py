@@ -10,12 +10,13 @@ is the data needed to pick a root_choice for a family of inputs.
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from devstrip import (DegenerateCaseError, InfeasibleProblemError,
-                      developability_scan, parse_problem, solve_problem1)
+                      developability_scan, parse_problem, solve_spec)
 
 
 def rotated(w, theta):
@@ -39,26 +40,22 @@ def main(argv=None):
     spec = parse_problem(Path(args.problem).read_text())
     if spec.problem_kind != "problem1":
         parser.error("the sweep needs a problem with prescribed end rulings")
-    curve = spec.to_curve()
-    anchor = ({"d0": spec.anchor_point} if spec.anchor_end == "start"
-              else {"dL": spec.anchor_point})
 
     print(f"{'deg':>6}  {'root':>4}  {'m*':>10}  {'lambda*':>10}"
           f"  {'tau':>10}  {'residual':>10}")
     rejected = []
     for step in range(args.angles):
         theta = 2.0 * math.pi * step / args.angles
-        w = rotated(spec.w, theta)
+        turned = replace(spec, w=rotated(spec.w, theta), root_choice=0)
         label = f"{math.degrees(theta):6.1f}"
         try:
-            first = solve_problem1(curve, spec.v, w, **anchor)
+            first = solve_spec(turned).problem1
         except (InfeasibleProblemError, DegenerateCaseError) as exc:
             rejected.append((label, str(exc)))
             continue
         for index in range(len(first.m_star_roots)):
             sol = (first if index == 0 else
-                   solve_problem1(curve, spec.v, w, root_choice=index,
-                                  **anchor))
+                   solve_spec(replace(turned, root_choice=index)).problem1)
             scan = developability_scan(sol.strip, args.samples)
             print(f"{label}  {index:>4}  {sol.chosen_root:10.4f}"
                   f"  {sol.lambda_star:10.4f}  {sol.tau:10.4f}"

@@ -13,25 +13,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from devstrip import (DegenerateCaseError, InfeasibleProblemError,
-                      RuledPatch, developability_scan, export_obj,
-                      parse_problem, planarity_report, solve_problem1,
-                      solve_problem2, solve_problem3)
-
-
-def solve_spec(spec):
-    if spec.problem_kind == "problem1":
-        anchor = ({"d0": spec.anchor_point} if spec.anchor_end == "start"
-                  else {"dL": spec.anchor_point})
-        sol = solve_problem1(spec.to_curve(), spec.v, spec.w,
-                             root_choice=spec.root_choice, **anchor)
-        return sol.strip, sol
-    if spec.problem_kind == "problem2":
-        sol = solve_problem2(spec.to_curve(), spec.d0, spec.dL,
-                             root_choice=spec.root_choice)
-        return RuledPatch(sol.elevated_c, sol.elevated_d), sol.report.problem1
-    sol = solve_problem3(spec.to_curve(), spec.dL, spec.apex_velocity,
-                         root_choice=spec.root_choice)
-    return RuledPatch(sol.final_c, sol.final_d), sol.report.problem1
+                      developability_scan, export_obj, parse_problem,
+                      planarity_report, solve_spec)
 
 
 def main(argv=None):
@@ -52,7 +35,7 @@ def main(argv=None):
         spec = parse_problem(path.read_text())
         t0 = time.perf_counter()
         try:
-            patch, inner = solve_spec(spec)
+            patch, inner, _ = solve_spec(spec)
         except (InfeasibleProblemError, DegenerateCaseError) as exc:
             print(f"{path.name}: rejected ({exc})")
             continue

@@ -19,32 +19,31 @@ from .fileio import (ProblemSpec, SolveReport, export_obj, parse_curve,
                      serialize_problem, serialize_solution)
 from .polyroots import ZeroPolynomialError, real_roots
 from .solvers import (AffineScaling, Problem1Solution, Problem2Solution,
-                      Problem3Solution, RationalPoint3Function,
+                      Problem3Solution, RationalPoint3Function, Solved,
                       apex_direction, build_a_rational, cramer_polynomial,
                       ruling_coefficients, scaled_boundary_blossom,
-                      solve_problem1, solve_problem2, solve_problem3)
-from .strip import (DevelopableStrip, RuledPatch, cell_planarity_residual,
-                    control_relation_residuals, propagate_polygon,
-                    verify_control_relation)
-from .verify import (DevelopabilityResult, DevelopabilityScan,
-                     curves_pointwise_equal, developability_residual,
-                     developability_scan, planarity_report)
+                      solve_problem1, solve_problem2, solve_problem3,
+                      solve_spec)
+from .strip import (DevelopableStrip, RuledPatch, control_relation_residuals,
+                    propagate_polygon)
+from .verify import (DevelopabilityScan, cell_planarity_residual,
+                     curves_pointwise_equal, developability_scan,
+                     planarity_report)
 from .cli import main, run_cli
 
 __all__ = [
     "__version__",
     "BSplineCurve", "KnotVector", "control_from_blossom",
     "RuledPatch", "DevelopableStrip", "propagate_polygon",
-    "cell_planarity_residual", "control_relation_residuals",
-    "verify_control_relation",
+    "control_relation_residuals",
     "RationalPoint3Function", "AffineScaling",
-    "Problem1Solution", "Problem2Solution", "Problem3Solution",
+    "Problem1Solution", "Problem2Solution", "Problem3Solution", "Solved",
     "build_a_rational", "cramer_polynomial", "real_roots",
     "ruling_coefficients", "scaled_boundary_blossom",
     "solve_problem1", "solve_problem2", "solve_problem3", "apex_direction",
-    "DevelopabilityResult", "DevelopabilityScan",
-    "developability_residual", "developability_scan",
-    "curves_pointwise_equal", "planarity_report",
+    "solve_spec",
+    "DevelopabilityScan", "developability_scan",
+    "cell_planarity_residual", "curves_pointwise_equal", "planarity_report",
     "ProblemSpec", "SolveReport", "parse_problem", "serialize_problem",
     "parse_curve", "serialize_curve", "parse_solution", "serialize_solution",
     "export_obj", "run_cli", "main",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -15,8 +16,7 @@ from . import __version__
 from .errors import DegenerateCaseError, InfeasibleProblemError
 from .fileio import (SolveReport, export_obj, parse_curve, parse_problem,
                      parse_solution, serialize_curve, serialize_solution)
-from .solvers import solve_problem1, solve_problem2, solve_problem3
-from .strip import RuledPatch
+from .solvers import solve_spec
 from .verify import developability_scan, planarity_report
 
 VERIFY_TOL = 1e-8
@@ -69,34 +69,16 @@ def _positive_samples(value: Optional[int], fallback: int, name: str) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = parse_problem(Path(args.problem).read_text())
-    root = spec.root_choice if args.root is None else args.root
-    if root < 0:
-        raise ValueError("--root must be nonnegative")
+    if args.root is not None:
+        if args.root < 0:
+            raise ValueError("--root must be nonnegative")
+        spec = replace(spec, root_choice=args.root)
     u_samples = _positive_samples(args.u_samples, spec.u_samples,
                                   "--u-samples")
     v_samples = _positive_samples(args.v_samples, spec.v_samples,
                                   "--v-samples")
 
-    curve = spec.to_curve()
-    pinch = None
-    if spec.problem_kind == "problem1":
-        anchor = ({"d0": spec.anchor_point} if spec.anchor_end == "start"
-                  else {"dL": spec.anchor_point})
-        solution = solve_problem1(curve, spec.v, spec.w,
-                                  root_choice=root, **anchor)
-        patch: RuledPatch = solution.strip
-        inner = solution
-    elif spec.problem_kind == "problem2":
-        solution2 = solve_problem2(curve, spec.d0, spec.dL, root_choice=root)
-        patch = RuledPatch(solution2.elevated_c, solution2.elevated_d)
-        inner = solution2.report.problem1
-        pinch = solution2.report.pinch_u
-    else:
-        solution3 = solve_problem3(curve, spec.dL, spec.apex_velocity,
-                                   root_choice=root)
-        patch = RuledPatch(solution3.final_c, solution3.final_d)
-        inner = solution3.report.problem1
-        pinch = solution3.report.problem2.report.pinch_u
+    patch, inner, pinch = solve_spec(spec)
 
     scan = developability_scan(patch, REPORT_SAMPLES_PER_PIECE)
     report = SolveReport(

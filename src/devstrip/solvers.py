@@ -8,6 +8,8 @@ Three levels of prescription are supported, each reduced to the one before:
 * triangular patch: apex velocity and far corner prescribed (solved by one
   more rescaling pass that collapses the first ruling, degree n+2).
 
+``solve_spec`` dispatches a parsed problem file to the matching solver.
+
 Candidate interior parameters are the real roots of a coplanarity
 polynomial assembled by exact polynomial arithmetic; everything downstream
 of the chosen root is closed-form.
@@ -25,8 +27,9 @@ from .bspline import (BlossomForm, BSplineCurve, KnotVector, as_point3,
                       control_from_blossom)
 from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
                      InfeasibleProblemError, PlanarSurfaceError)
+from .fileio import ProblemSpec
 from .polyroots import real_roots
-from .strip import DevelopableStrip, propagate_polygon
+from .strip import DevelopableStrip, RuledPatch, propagate_polygon
 
 RULING_PARALLEL_TOL = 1e-9
 ANCHOR_LINE_TOL = 1e-9
@@ -354,19 +357,14 @@ def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve,
     return elevated, moved
 
 
-@dataclass(frozen=True)
-class Problem2Report:
+class Problem2Solution(NamedTuple):
+    elevated_c: BSplineCurve
+    elevated_d: BSplineCurve
     problem1: Problem1Solution
     scaling: AffineScaling
     # Parameter where the scaled ruling length crosses zero (the patch
     # pinches onto the base curve); only present when tau < 0.
     pinch_u: Optional[float]
-
-
-class Problem2Solution(NamedTuple):
-    elevated_c: BSplineCurve
-    elevated_d: BSplineCurve
-    report: Problem2Report
 
 
 def solve_problem2(curve: BSplineCurve, d0, dL,
@@ -392,8 +390,7 @@ def solve_problem2(curve: BSplineCurve, d0, dL,
     elevated_c, elevated_d = _rescaled_pair(
         curve, inner.strip.opposite, scaling)
     pinch = (a - tau * b) / (1.0 - tau) if tau < 0.0 else None
-    return Problem2Solution(elevated_c, elevated_d,
-                            Problem2Report(inner, scaling, pinch))
+    return Problem2Solution(elevated_c, elevated_d, inner, scaling, pinch)
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +413,12 @@ def apex_direction(curve: BSplineCurve, d_prime_a) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class Problem3Report:
-    problem2: Problem2Solution
-    apex_ruling: np.ndarray
-    shrink: AffineScaling
-
-    @property
-    def problem1(self) -> Problem1Solution:
-        return self.problem2.report.problem1
-
-
 class Problem3Solution(NamedTuple):
     final_c: BSplineCurve
     final_d: BSplineCurve
-    report: Problem3Report
+    problem2: Problem2Solution
+    apex_ruling: np.ndarray
+    shrink: AffineScaling
 
 
 def solve_problem3(curve: BSplineCurve, dL, d_prime_a,
@@ -449,5 +437,41 @@ def solve_problem3(curve: BSplineCurve, dL, d_prime_a,
     shrink = AffineScaling.through(a, 0.0, b, 1.0)
     final_c, final_d = _rescaled_pair(
         wide.elevated_c, wide.elevated_d, shrink)
-    return Problem3Solution(final_c, final_d,
-                            Problem3Report(wide, v, shrink))
+    return Problem3Solution(final_c, final_d, wide, v, shrink)
+
+
+# ---------------------------------------------------------------------------
+# one entry point for every problem kind
+
+
+class Solved(NamedTuple):
+    """A solved problem spec: the patch to export and verify, the
+    two-ruling solve every kind reduces to, and the pinch parameter of
+    problems 2 and 3 (see Problem2Solution)."""
+
+    patch: RuledPatch
+    problem1: Problem1Solution
+    pinch_u: Optional[float]
+
+
+def solve_spec(spec: ProblemSpec) -> Solved:
+    """Dispatch a parsed problem file to its solver.
+
+    The spec's own ``root_choice`` selects the root; callers that override
+    it or any ruling datum pass ``dataclasses.replace(spec, ...)``."""
+    curve = spec.to_curve()
+    root = spec.root_choice
+    if spec.problem_kind == "problem1":
+        end = "d0" if spec.anchor_end == "start" else "dL"
+        inner = solve_problem1(curve, spec.v, spec.w, root_choice=root,
+                               **{end: spec.anchor_point})
+        return Solved(inner.strip, inner, None)
+    if spec.problem_kind == "problem2":
+        wide = solve_problem2(curve, spec.d0, spec.dL, root_choice=root)
+        patch = RuledPatch(wide.elevated_c, wide.elevated_d)
+    else:
+        tri = solve_problem3(curve, spec.dL, spec.apex_velocity,
+                             root_choice=root)
+        wide = tri.problem2
+        patch = RuledPatch(tri.final_c, tri.final_d)
+    return Solved(patch, wide.problem1, wide.pinch_u)

@@ -18,7 +18,6 @@ from .bspline import BSplineCurve, as_point3
 
 # Strips are rejected when the control relation defect exceeds this.
 CONTROL_RELATION_TOL = 1e-9
-CELL_PLANARITY_TOL = 1e-9
 # m_star closer than this fraction of the domain to a knot is a pole.
 POLE_GUARD_REL = 1e-6
 
@@ -66,8 +65,11 @@ class RuledPatch:
 class DevelopableStrip(RuledPatch):
     """A ruled patch whose net satisfies the constant-parameter relation.
 
-    The constructor validates the relation and cell planarity eagerly,
-    naming the worst cell, since the solvers downstream rely on it.
+    The constructor validates the relation eagerly, naming the worst cell,
+    since the solvers downstream rely on it.  Both sides of a cell's
+    relation are affine combinations with the same weight sum, so the lines
+    c_i c_{i+1} and d_i d_{i+1} meet and the cell is planar; planarity is
+    measured separately, as an independent check, by verify.planarity_report.
     """
 
     __slots__ = ("_lambda_star", "_m_star")
@@ -88,18 +90,6 @@ class DevelopableStrip(RuledPatch):
             raise ValueError(
                 f"control relation fails at cell {worst}: residual "
                 f"{residuals[worst]:.3e} above {CONTROL_RELATION_TOL:.0e}"
-            )
-        planar = [
-            cell_planarity_residual(
-                (base.control[i], base.control[i + 1],
-                 opposite.control[i], opposite.control[i + 1])
-            )
-            for i in range(len(base.control) - 1)
-        ]
-        worst = int(np.argmax(planar))
-        if planar[worst] > CELL_PLANARITY_TOL:
-            raise ValueError(
-                f"net cell {worst} is not planar: residual {planar[worst]:.3e}"
             )
 
     @property
@@ -190,32 +180,3 @@ def control_relation_residuals(
         denom = max(max(np.linalg.norm(t) for t in terms), floor)
         residuals[i] = defect / denom
     return residuals
-
-
-def verify_control_relation(strip: DevelopableStrip) -> float:
-    """Max normalized defect of the control relation over all cells."""
-    residuals = control_relation_residuals(
-        strip.base, strip.opposite, strip.lambda_star, strip.m_star
-    )
-    return float(np.max(residuals))
-
-
-def cell_planarity_residual(cell) -> float:
-    """Dimensionless coplanarity defect of one net cell.
-
-    The cell is the point quadruple (c_i, c_{i+1}, d_i, d_{i+1}).  Returns
-    |det(c_{i+1} - c_i, d_i - c_i, d_{i+1} - c_i)| divided by the product
-    of the three argument norms (each floored at 1e-12 of the cell scale);
-    zero exactly when the four points are coplanar.
-    """
-    ci, cj, di, dj = (as_point3(p) for p in cell)
-    e1 = cj - ci
-    e2 = di - ci
-    e3 = dj - ci
-    det = float(np.linalg.det(np.column_stack((e1, e2, e3))))
-    scale = max(1.0, max(np.linalg.norm(p) for p in (ci, cj, di, dj)))
-    floor = 1e-12 * scale
-    denom = 1.0
-    for e in (e1, e2, e3):
-        denom *= max(float(np.linalg.norm(e)), floor)
-    return abs(det) / denom

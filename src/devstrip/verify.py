@@ -8,12 +8,11 @@ these routines can serve as oracles for the constructive code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .bspline import BSplineCurve
-from .strip import RuledPatch, cell_planarity_residual
+from .bspline import BSplineCurve, as_point3
+from .strip import RuledPatch
 
 # Rulings shorter than this fraction of the patch scale are collapsed points
 # (apex of a triangular patch); the tangent-plane test is 0/0 there.
@@ -26,11 +25,6 @@ NORM_FLOOR_REL = 1e-12
 KNOT_SAMPLE_OFFSET_REL = 1e-9
 
 
-class DevelopabilityResult(NamedTuple):
-    max_residual: float
-    argmax_u: float
-
-
 @dataclass(frozen=True)
 class DevelopabilityScan:
     """Full sampling record behind a developability verdict."""
@@ -39,10 +33,6 @@ class DevelopabilityScan:
     argmax_u: float
     samples: int
     skipped: int
-
-    @property
-    def result(self) -> DevelopabilityResult:
-        return DevelopabilityResult(self.max_residual, self.argmax_u)
 
 
 def _patch_scale(patch: RuledPatch) -> float:
@@ -93,13 +83,6 @@ def developability_scan(patch: RuledPatch,
     return DevelopabilityScan(worst, arg, taken, skipped)
 
 
-def developability_residual(patch: RuledPatch,
-                            samples_per_piece: int = 100
-                            ) -> DevelopabilityResult:
-    """Worst sampled residual and the parameter where it occurs."""
-    return developability_scan(patch, samples_per_piece).result
-
-
 def curves_pointwise_equal(p: BSplineCurve, q: BSplineCurve,
                            samples: int = 200) -> float:
     """Max Euclidean distance between two curves over uniform samples.
@@ -120,6 +103,27 @@ def curves_pointwise_equal(p: BSplineCurve, q: BSplineCurve,
         qu = q.evaluate(min(max(u, qa), qb))
         worst = max(worst, float(np.linalg.norm(p.evaluate(u) - qu)))
     return worst
+
+
+def cell_planarity_residual(cell) -> float:
+    """Dimensionless coplanarity defect of one net cell.
+
+    The cell is the point quadruple (c_i, c_{i+1}, d_i, d_{i+1}).  Returns
+    |det(c_{i+1} - c_i, d_i - c_i, d_{i+1} - c_i)| divided by the product
+    of the three argument norms (each floored at 1e-12 of the cell scale);
+    zero exactly when the four points are coplanar.
+    """
+    ci, cj, di, dj = (as_point3(p) for p in cell)
+    e1 = cj - ci
+    e2 = di - ci
+    e3 = dj - ci
+    det = float(np.linalg.det(np.column_stack((e1, e2, e3))))
+    scale = max(1.0, max(np.linalg.norm(p) for p in (ci, cj, di, dj)))
+    floor = 1e-12 * scale
+    denom = 1.0
+    for e in (e1, e2, e3):
+        denom *= max(float(np.linalg.norm(e)), floor)
+    return abs(det) / denom
 
 
 def planarity_report(strip: RuledPatch) -> list[float]:

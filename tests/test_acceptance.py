@@ -122,7 +122,7 @@ def test_04_two_corner_solve_with_rescaling(cubic_curve):
     assert_point_close(sol.elevated_d.control[0], ref.CORNER_D0, 1e-9)
     assert_point_close(sol.elevated_d.control[-1], ref.CORNER_DL, 1e-9)
 
-    d = sol.report.problem1.strip.opposite
+    d = sol.problem1.strip.opposite
     for args, expected in ref.CUBIC_AUX_C.items():
         piece = (0, 1) if 0.3 in args else (1, 2)
         assert_point_close(cubic_curve.blossom_eval(piece[0], args),
@@ -139,7 +139,7 @@ def test_05_triangular_patch_with_apex(cubic_curve):
 
     sol = solve_problem3(cubic_curve, ref.TRI_DL, ref.TRI_APEX_VELOCITY,
                          root_choice=ref.TRI_ROOT_INDEX)
-    inner = sol.report.problem1
+    inner = sol.problem2.problem1
     lead = ref.TRI_QUARTIC[0]
     assert inner.polynomial.coef == pytest.approx(
         [c / lead for c in reversed(ref.TRI_QUARTIC)], abs=1e-9)
@@ -164,8 +164,8 @@ def test_05_triangular_patch_with_apex(cubic_curve):
     for args, expected in ref.TRI_AUX_D_MID.items():
         piece = (0, 1) if 0.3 in args else (1, 2)
         assert_point_close(d_mid.blossom_eval(piece[0], args), expected, 0.01)
-    tilde_c = sol.report.problem2.elevated_c
-    tilde_d = sol.report.problem2.elevated_d
+    tilde_c = sol.problem2.elevated_c
+    tilde_d = sol.problem2.elevated_d
     for args, expected in ref.TRI_AUX_TILDE_C.items():
         assert_point_close(tilde_c.blossom_eval(0, args), expected, 0.01)
     for args, expected in ref.TRI_AUX_TILDE_D.items():

@@ -1,0 +1,107 @@
+"""One solve path: the CLI and both scripts go through solve_spec."""
+
+import importlib.util
+import itertools
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from devstrip import parse_problem, run_cli, serialize_solution, solve_spec
+
+from helpers import assert_polygon_close
+
+REPO = Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "fixtures"
+FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.json"))
+
+
+def load_script(name: str, monkeypatch):
+    # the scripts put src/ on sys.path themselves; keep that local to the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSolveSpec:
+
+    # root None keeps the file's root_choice; --root goes in as a replaced spec
+    @pytest.mark.parametrize("name, root",
+                             [(name, None) for name in FIXTURE_NAMES]
+                             + [("spline3.json", 1)])
+    def test_library_solve_matches_the_cli_output(self, tmp_path, name,
+                                                  root):
+        path = FIXTURES / name
+        spec = parse_problem(path.read_text())
+        argv = ["solve", "--problem", str(path), "--out", str(tmp_path)]
+        if root is not None:
+            spec = replace(spec, root_choice=root)
+            argv += ["--root", str(root)]
+        assert run_cli(argv) == 0
+        assert serialize_solution(solve_spec(spec).patch) == \
+            (tmp_path / "solution.json").read_text()
+
+    def test_far_end_anchor_reproduces_the_start_anchored_strip(self):
+        spec = parse_problem((FIXTURES / "spline3.json").read_text())
+        start = solve_spec(spec).patch
+        far = tuple(start.opposite.control[-1])
+        end = solve_spec(replace(spec, anchor_end="end",
+                                 anchor_point=far)).patch
+        assert_polygon_close(end.opposite.control, start.opposite.control,
+                             1e-9)
+
+    def test_far_corner_behind_the_curve_pinches_the_patch(self):
+        # mirroring the far corner through c_L makes tau = -1, so the
+        # rescaled ruling length 1 + u (1/tau - 1) crosses zero at u = 1/2
+        spec = parse_problem((FIXTURES / "spline3.json").read_text())
+        c_last = np.asarray(spec.control[-1])
+        far = solve_spec(spec).patch.opposite.control[-1]
+        corner = replace(spec, problem_kind="problem2", d0=spec.anchor_point,
+                         dL=tuple(2.0 * c_last - far))
+        assert solve_spec(corner).pinch_u == pytest.approx(0.5, abs=1e-9)
+
+    def test_each_kind_reduces_to_the_two_ruling_solve(self):
+        kinds = {}
+        for name in FIXTURE_NAMES:
+            spec = parse_problem((FIXTURES / name).read_text())
+            solved = solve_spec(spec)
+            kinds[spec.problem_kind] = solved
+            assert solved.problem1.strip.base.degree == spec.degree
+        assert kinds["problem1"].patch is kinds["problem1"].problem1.strip
+        assert kinds["problem2"].patch.base.degree == \
+            kinds["problem1"].patch.base.degree + 1
+        assert kinds["problem3"].patch.base.degree == \
+            kinds["problem1"].patch.base.degree + 2
+        # every bundled fixture solves with tau > 0, so no ruling crosses zero
+        assert all(solved.pinch_u is None for solved in kinds.values())
+
+
+class TestScripts:
+
+    def test_solve_fixtures_prints_one_block_per_fixture(self, monkeypatch,
+                                                         capsys):
+        script = load_script("solve_fixtures", monkeypatch)
+        assert script.main(["--fixtures", str(FIXTURES),
+                            "--samples", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        heads = [line.split(":")[0] for line in lines
+                 if not line.startswith(" ")]
+        assert heads == FIXTURE_NAMES
+        assert len(lines) == 3 * len(FIXTURE_NAMES)
+
+    def test_root_sweep_prints_one_block_per_angle(self, monkeypatch,
+                                                   capsys):
+        monkeypatch.chdir(REPO)
+        script = load_script("root_sweep", monkeypatch)
+        assert script.main(["--angles", "4"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["deg", "root", "m*", "lambda*", "tau",
+                                  "residual"]
+        blocks = [label for label, _ in itertools.groupby(
+            row[:6] for row in rows)]
+        assert blocks == ["   0.0", "  90.0", " 180.0", " 270.0"]

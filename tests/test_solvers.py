@@ -294,32 +294,32 @@ class TestProblem2:
 
     def test_scaling_profile_hits_both_ends(self, corner_p2, cubic):
         a, b = cubic.domain
-        report = corner_p2.report
-        assert report.scaling(a) == pytest.approx(1.0, abs=1e-12)
-        assert report.scaling(b) == pytest.approx(
-            1.0 / report.problem1.tau, rel=1e-12)
-        assert report.problem1.tau == pytest.approx(ref.CUBIC_TAU, abs=0.01)
-        assert report.pinch_u is None
+        assert corner_p2.scaling(a) == pytest.approx(1.0, abs=1e-12)
+        assert corner_p2.scaling(b) == pytest.approx(
+            1.0 / corner_p2.problem1.tau, rel=1e-12)
+        assert corner_p2.problem1.tau == pytest.approx(ref.CUBIC_TAU,
+                                                       abs=0.01)
+        assert corner_p2.pinch_u is None
 
     def test_scaled_blossom_spot_value(self, corner_p2, cubic):
-        inner = corner_p2.report.problem1
+        inner = corner_p2.problem1
         form = scaled_boundary_blossom(cubic, inner.strip.opposite,
-                                       corner_p2.report.scaling)
+                                       corner_p2.scaling)
         value = form(ref.CORNER_SCALED_BLOSSOM_ARGS, 0.15)
         assert_point_close(value, ref.CORNER_SCALED_BLOSSOM_VALUE, 0.01)
 
     def test_scaled_blossom_arity_checked(self, corner_p2, cubic):
         form = scaled_boundary_blossom(
-            cubic, corner_p2.report.problem1.strip.opposite,
-            corner_p2.report.scaling)
+            cubic, corner_p2.problem1.strip.opposite,
+            corner_p2.scaling)
         with pytest.raises(ValueError, match="arguments"):
             form((0.0, 0.0, 0.3), 0.15)
 
     def test_surface_is_the_rescaled_inner_strip(self, corner_p2, cubic):
         # b2(u, t) = b1(u, t * f(u)): same surface traded between
         # parameterizations, sampled across the domain and width
-        inner = corner_p2.report.problem1.strip
-        f = corner_p2.report.scaling
+        inner = corner_p2.problem1.strip
+        f = corner_p2.scaling
         outer = RuledPatch(corner_p2.elevated_c, corner_p2.elevated_d)
         for u in (0.0, 0.15, 0.3, 0.55, 0.7, 0.9, 1.0):
             for t in (0.0, 0.4, 1.0):
@@ -329,7 +329,7 @@ class TestProblem2:
     def test_matching_corner_needs_no_rescale(self, cubic, cubic_p1):
         far = cubic_p1.strip.opposite.control[-1]
         sol = solve_problem2(cubic, ref.CUBIC_D0, far)
-        assert sol.report.scaling.slope == pytest.approx(0.0, abs=1e-9)
+        assert sol.scaling.slope == pytest.approx(0.0, abs=1e-9)
         assert_polygon_close(
             sol.elevated_d.control,
             cubic_p1.strip.opposite.elevate_degree().control, 1e-9)
@@ -339,8 +339,8 @@ class TestProblem2:
         far = np.asarray(cubic_p1.strip.opposite.control[-1])
         flipped = c_last - (far - c_last)
         sol = solve_problem2(cubic, ref.CUBIC_D0, flipped)
-        assert sol.report.problem1.tau == pytest.approx(-1.0, abs=1e-9)
-        assert sol.report.pinch_u == pytest.approx(0.5, abs=1e-9)
+        assert sol.problem1.tau == pytest.approx(-1.0, abs=1e-9)
+        assert sol.pinch_u == pytest.approx(0.5, abs=1e-9)
         scale = max(1.0, float(np.max(np.abs(sol.elevated_d.control))))
         assert_point_close(sol.elevated_d.control[-1], flipped, 1e-9 * scale)
 
@@ -372,28 +372,26 @@ class TestProblem3:
         assert tri_p3.final_d.degree == 5
 
     def test_intermediate_stages(self, tri_p3):
-        report = tri_p3.report
-        assert_point_close(report.apex_ruling, ref.TRI_APEX_DIRECTION, 1e-12)
-        assert report.problem1.m_star_roots == pytest.approx(ref.TRI_ROOTS,
-                                                             abs=0.01)
-        assert report.problem1.chosen_root == pytest.approx(
+        assert_point_close(tri_p3.apex_ruling, ref.TRI_APEX_DIRECTION, 1e-12)
+        inner = tri_p3.problem2.problem1
+        assert inner.m_star_roots == pytest.approx(ref.TRI_ROOTS, abs=0.01)
+        assert inner.chosen_root == pytest.approx(
             ref.TRI_ROOTS[ref.TRI_ROOT_INDEX], abs=0.01)
-        assert report.problem1.lambda_star == pytest.approx(ref.TRI_LAMBDA,
-                                                            abs=0.01)
-        assert report.problem1.tau == pytest.approx(ref.TRI_TAU, abs=0.01)
-        assert_polygon_close(report.problem1.strip.opposite.control,
+        assert inner.lambda_star == pytest.approx(ref.TRI_LAMBDA, abs=0.01)
+        assert inner.tau == pytest.approx(ref.TRI_TAU, abs=0.01)
+        assert_polygon_close(inner.strip.opposite.control,
                              ref.TRI_D_MID, 0.01)
-        assert_polygon_close(report.problem2.elevated_d.control,
+        assert_polygon_close(tri_p3.problem2.elevated_d.control,
                              ref.TRI_TILDE_D, 0.01)
 
     def test_intermediate_blossoms(self, tri_p3):
-        d_mid = tri_p3.report.problem1.strip.opposite
+        d_mid = tri_p3.problem2.problem1.strip.opposite
         for args, expected in ref.TRI_AUX_D_MID.items():
             pieces = (0, 1) if 0.3 in args else (1, 2)
             assert_point_close(d_mid.blossom_eval(pieces[0], args),
                                expected, 0.01)
-        tilde_c = tri_p3.report.problem2.elevated_c
-        tilde_d = tri_p3.report.problem2.elevated_d
+        tilde_c = tri_p3.problem2.elevated_c
+        tilde_d = tri_p3.problem2.elevated_d
         for args, expected in ref.TRI_AUX_TILDE_C.items():
             assert_point_close(tilde_c.blossom_eval(0, args), expected, 0.01)
         for args, expected in ref.TRI_AUX_TILDE_D.items():
@@ -414,8 +412,8 @@ class TestProblem3:
 
     def test_shrink_profile_runs_zero_to_one(self, tri_p3, cubic):
         a, b = cubic.domain
-        assert tri_p3.report.shrink(a) == pytest.approx(0.0, abs=1e-12)
-        assert tri_p3.report.shrink(b) == pytest.approx(1.0, abs=1e-12)
+        assert tri_p3.shrink(a) == pytest.approx(0.0, abs=1e-12)
+        assert tri_p3.shrink(b) == pytest.approx(1.0, abs=1e-12)
 
     def test_other_root_lands_far_from_the_reference(self, cubic):
         alt = solve_problem3(cubic, ref.TRI_DL, ref.TRI_APEX_VELOCITY,

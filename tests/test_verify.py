@@ -5,10 +5,8 @@ import pytest
 
 from devstrip import (
     BSplineCurve,
-    DevelopabilityResult,
     RuledPatch,
     curves_pointwise_equal,
-    developability_residual,
     developability_scan,
     planarity_report,
     solve_problem1,
@@ -27,13 +25,11 @@ class TestDevelopabilityScan:
         assert scan.max_residual <= 1e-12
         assert scan.samples == 100
         assert scan.skipped == 0
-        assert scan.result == DevelopabilityResult(scan.max_residual,
-                                                   scan.argmax_u)
 
-    def test_result_tuple_unpacks(self, quad_strip):
-        worst, arg = developability_residual(quad_strip, samples_per_piece=7)
-        assert worst <= 1e-12
-        assert 0.0 <= arg <= 1.0
+    def test_sparse_scan_reports_worst_and_argmax(self, quad_strip):
+        scan = developability_scan(quad_strip, samples_per_piece=7)
+        assert scan.max_residual <= 1e-12
+        assert 0.0 <= scan.argmax_u <= 1.0
 
     def test_sample_count_covers_every_piece(self, cubic_curve):
         sol = solve_problem1(cubic_curve, ref.CUBIC_V, ref.CUBIC_W,
@@ -47,16 +43,17 @@ class TestDevelopabilityScan:
         d[1] += (0.0, 0.0, 0.1)
         bent = RuledPatch(quad_strip.base,
                           BSplineCurve(quad_strip.knots, d))
-        worst, arg = developability_residual(bent)
-        assert worst > 1e-3
-        assert quad_strip.domain[0] < arg < quad_strip.domain[1]
+        scan = developability_scan(bent)
+        assert scan.max_residual > 1e-3
+        assert quad_strip.domain[0] < scan.argmax_u < quad_strip.domain[1]
 
     def test_argmax_points_at_the_worst_parameter(self, quad_strip):
         d = np.array(quad_strip.opposite.control)
         d[1] += (0.0, 0.0, 0.05)
         bent = RuledPatch(quad_strip.base,
                           BSplineCurve(quad_strip.knots, d))
-        worst, arg = developability_residual(bent, samples_per_piece=400)
+        scan = developability_scan(bent, samples_per_piece=400)
+        worst, arg = scan.max_residual, scan.argmax_u
         c = bent.base
         dd = bent.opposite
         ruling = dd.evaluate(arg) - c.evaluate(arg)
@@ -107,8 +104,8 @@ class TestCurvesPointwiseEqual:
         # the degree-raised opposite boundary must trace the same points as
         # the direct blend (1-f(u)) c(u) + f(u) d(u)
         sol = solve_problem2(cubic_curve, ref.CORNER_D0, ref.CORNER_DL)
-        inner = sol.report.problem1.strip
-        f = sol.report.scaling
+        inner = sol.problem1.strip
+        f = sol.scaling
         worst = 0.0
         for u in np.linspace(0.0, 1.0, 160):
             blend = inner.ruled_eval(u, f(u))
