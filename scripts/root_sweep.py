@@ -26,6 +26,20 @@ def rotated(w, theta):
             w[2])
 
 
+def turned(spec, theta):
+    """The spec with w rotated by theta, at root 0.
+
+    A far-end anchor turns with w about the curve's last point, so that it
+    stays on the rotated ruling line."""
+    changes = {"w": rotated(spec.w, theta), "root_choice": 0}
+    if spec.anchor_end == "end":
+        c_last = spec.control[-1]
+        offset = rotated([p - c for p, c in zip(spec.anchor_point, c_last)],
+                         theta)
+        changes["anchor_point"] = tuple(c + o for c, o in zip(c_last, offset))
+    return replace(spec, **changes)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--problem", default="fixtures/spline3.json",
@@ -46,16 +60,16 @@ def main(argv=None):
     rejected = []
     for step in range(args.angles):
         theta = 2.0 * math.pi * step / args.angles
-        turned = replace(spec, w=rotated(spec.w, theta), root_choice=0)
+        problem = turned(spec, theta)
         label = f"{math.degrees(theta):6.1f}"
         try:
-            first = solve_spec(turned).problem1
+            first = solve_spec(problem).problem1
         except (InfeasibleProblemError, DegenerateCaseError) as exc:
             rejected.append((label, str(exc)))
             continue
         for index in range(len(first.m_star_roots)):
             sol = (first if index == 0 else
-                   solve_spec(replace(turned, root_choice=index)).problem1)
+                   solve_spec(replace(problem, root_choice=index)).problem1)
             scan = developability_scan(sol.strip, args.samples)
             print(f"{label}  {index:>4}  {sol.chosen_root:10.4f}"
                   f"  {sol.lambda_star:10.4f}  {sol.tau:10.4f}"

@@ -23,9 +23,10 @@ import numpy as np
 # Knots closer than this fraction of the domain length are one knot.
 KNOT_EQ_REL = 1e-12
 
-# A point-valued multiaffine form: called with the argument tuple and a
-# parameter value that identifies the piece the form is evaluated on.
-BlossomForm = Callable[[Sequence[float], float], np.ndarray]
+# A point-valued multiaffine form, form(args, u_ref): (k, m) arguments and
+# (k,) parameters, each naming the piece its row is evaluated on, give (k, 3)
+# points; one argument sequence with a scalar u_ref gives one (3,) point.
+BlossomForm = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
 
 
 def as_point3(value) -> np.ndarray:
@@ -36,6 +37,12 @@ def as_point3(value) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError(f"point has non-finite components: {p}")
     return p
+
+
+def _row_norms(points: np.ndarray) -> np.ndarray:
+    """Norm of every row of a (k, 3) array, bit for bit np.linalg.norm of the
+    row (a BLAS dot product); norm(axis=1) rounds differently."""
+    return np.sqrt((points[:, None, :] @ points[:, :, None])[:, 0, 0])
 
 
 def as_points(values) -> np.ndarray:
@@ -57,7 +64,7 @@ class KnotVector(Sequence):
     influence on the curve).
     """
 
-    __slots__ = ("_knots", "_degree", "_tol", "_spans", "_starts")
+    __slots__ = ("_knots", "_array", "_degree", "_tol", "_spans", "_starts")
 
     def __init__(self, knots: Sequence[float], degree: int):
         if not isinstance(degree, int) or degree < 1:
@@ -98,14 +105,14 @@ class KnotVector(Sequence):
         if values[last] - values[last - 1] <= tol:
             raise ValueError("last domain span is degenerate")
 
-        spans = tuple(
-            j for j in range(n - 1, last) if values[j + 1] - values[j] > tol
-        )
         self._knots = values
+        self._array = np.array(values)
         self._degree = n
         self._tol = tol
-        self._spans = spans
-        self._starts = [values[j] for j in spans]
+        # knot index j of every nondegenerate span [u_j, u_{j+1}] of the domain
+        gaps = np.diff(self._array[n - 1 : last + 1])
+        self._spans = n - 1 + np.flatnonzero(gaps > tol)
+        self._starts = self._array[self._spans]
 
     # -- sequence protocol over the raw knot values --------------------
 
@@ -157,12 +164,18 @@ class KnotVector(Sequence):
         j = self._span_index(piece)
         return self._knots[j], self._knots[j + 1]
 
-    def piece_for(self, u: float) -> int:
-        """Piece ordinal containing u; right-continuous at inner knots."""
+    def piece_for(self, u):
+        """Piece ordinal containing u; right-continuous at inner knots.
+
+        A 1-D array of parameters gives an array of ordinals."""
         a, b = self.domain
-        if not a <= u <= b:
-            raise ValueError(f"parameter {u} outside the domain [{a}, {b}]")
-        return max(bisect.bisect_right(self._starts, u) - 1, 0)
+        values = np.asarray(u, dtype=float)
+        outside = ~((a <= values) & (values <= b))
+        if np.any(outside):
+            raise ValueError(f"parameter {values[outside][0]} outside the domain [{a}, {b}]")
+        pieces = np.maximum(
+            np.searchsorted(self._starts, values, side="right") - 1, 0)
+        return int(pieces) if values.ndim == 0 else pieces
 
     def multiplicity(self, value: float) -> int:
         return sum(1 for u in self._knots if abs(u - value) <= self._tol)
@@ -182,7 +195,14 @@ class KnotVector(Sequence):
             raise ValueError(
                 f"piece index {piece} out of range for {len(self._spans)} pieces"
             )
-        return self._spans[piece]
+        return int(self._spans[piece])
+
+    def _spans_for(self, u) -> np.ndarray:
+        """Knot span index of the piece containing each parameter of a
+        scalar or 1-D u, as a (k,) array."""
+        if np.ndim(u) > 1:
+            raise ValueError(f"parameters must be a scalar or 1-D, got shape {np.shape(u)}")
+        return self._spans[np.atleast_1d(self.piece_for(u))]
 
     # -- refinement -----------------------------------------------------
 
@@ -281,56 +301,68 @@ class BSplineCurve:
     def blossom_eval(self, piece: int, args: Sequence[float]) -> np.ndarray:
         """Polar form c[v_1..v_n] of the polynomial piece.
 
-        The recursion pulls one argument in per stage, replacing the knot
-        window of the selected piece; arguments need not lie inside the
-        piece (the polar form is a polynomial in each slot).
+        Arguments need not lie inside the piece (the polar form is a
+        polynomial in each slot).
         """
         n = self.degree
-        values = [float(v) for v in args]
-        if len(values) != n:
+        values = np.array([[float(v) for v in args]])
+        if values.shape[1] != n:
             raise ValueError(f"blossom of a degree-{n} curve takes {n} arguments")
         span = self._knots._span_index(piece)
-        return self._blossom_on_span(span, values)
+        return self._blossoms(np.array([span]), values)[0]
 
-    def _blossom_on_span(self, span: int, values: list[float]) -> np.ndarray:
+    def _blossoms(self, spans: np.ndarray, args: np.ndarray) -> np.ndarray:
+        """Polar forms of the pieces on knot spans `spans` (k,) at the rows
+        of `args` (k, n), as (k, 3) points; rows may mix spans.
+
+        De Boor's recursion: stage r pulls argument r in, replacing one knot
+        of every pair that brackets the span, over all k rows at once.
+        """
         n = self.degree
-        u = self._knots
-        pts = self._control[span - n + 1 : span + 2].astype(float)
+        kn = self._knots._array
+        first = spans[:, None] - n  # pts[:, i] starts as control point first + 1 + i
+        pts = self._control[first + np.arange(1, n + 2)]
         for r in range(1, n + 1):
-            v = values[r - 1]
-            for i in range(n, r - 1, -1):
-                g = span - n + 1 + i  # global control index of pts[i]
-                lo = u[g - 1]
-                hi = u[g + n - r]
-                w = (v - lo) / (hi - lo)
-                pts[i] = (1.0 - w) * pts[i - 1] + w * pts[i]
-        return pts[n]
+            i = np.arange(r, n + 1)
+            lo = kn[first + i]
+            hi = kn[first + i + n + 1 - r]
+            w = ((args[:, r - 1, None] - lo) / (hi - lo))[:, :, None]
+            pts[:, r:] = (1.0 - w) * pts[:, r - 1 : n] + w * pts[:, r:]
+        return pts[:, n]
 
-    def evaluate(self, u: float) -> np.ndarray:
-        """Curve point c(u); the diagonal of the blossom."""
-        piece = self._knots.piece_for(u)
-        return self.blossom_eval(piece, [u] * self.degree)
+    def evaluate(self, u) -> np.ndarray:
+        """Curve point c(u); the diagonal of the blossom.
 
-    def derivative_at(self, u: float) -> np.ndarray:
-        """Velocity c'(u), one-sided on the piece containing u."""
+        A 1-D array of k parameters gives a (k, 3) array of points."""
+        us = np.asarray(u, dtype=float)
+        spans = self._knots._spans_for(us)
+        points = self._blossoms(spans, np.repeat(us.reshape(-1, 1), self.degree, axis=1))
+        return points if us.ndim else points[0]
+
+    def derivative_at(self, u) -> np.ndarray:
+        """Velocity c'(u), one-sided on the piece containing u.
+
+        A 1-D array of k parameters gives a (k, 3) array of velocities."""
         n = self.degree
-        piece = self._knots.piece_for(u)
-        t0, t1 = self._knots.piece_interval(piece)
-        head = [float(u)] * (n - 1)
-        upper = self.blossom_eval(piece, head + [t1])
-        lower = self.blossom_eval(piece, head + [t0])
-        return n * (upper - lower) / (t1 - t0)
+        us = np.asarray(u, dtype=float)
+        spans = self._knots._spans_for(us)
+        t0, t1 = self._knots._array[spans], self._knots._array[spans + 1]
+        args = np.repeat(us.reshape(-1, 1), n, axis=1)
+        args[:, n - 1] = t1
+        upper = self._blossoms(spans, args)
+        args[:, n - 1] = t0
+        lower = self._blossoms(spans, args)
+        velocity = n * (upper - lower) / (t1 - t0)[:, None]
+        return velocity if us.ndim else velocity[0]
 
     # -- polar forms for re-expressing the curve over other knot lists ----
 
     def polar_form(self) -> BlossomForm:
-        """The curve's own blossom as a (args, u_ref) callable."""
+        """The curve's own blossom as a batched (args, u_ref) form."""
+        def form(args, u_ref):
+            return self._blossoms(self._knots._spans_for(u_ref), args)
 
-        def form(args: Sequence[float], u_ref: float) -> np.ndarray:
-            piece = self._knots.piece_for(u_ref)
-            return self.blossom_eval(piece, args)
-
-        return form
+        return _batched_form(self.degree, form)
 
     def elevated_polar_form(self) -> BlossomForm:
         """Blossom of the same point set viewed as a degree n+1 curve.
@@ -340,17 +372,14 @@ class BSplineCurve:
         """
         n = self.degree
 
-        def form(args: Sequence[float], u_ref: float) -> np.ndarray:
-            values = [float(v) for v in args]
-            if len(values) != n + 1:
-                raise ValueError(f"elevated form takes {n + 1} arguments")
-            piece = self._knots.piece_for(u_ref)
-            total = np.zeros(3)
+        def form(args, u_ref):
+            spans = self._knots._spans_for(u_ref)
+            total = np.zeros((len(args), 3))
             for k in range(n + 1):
-                total += self.blossom_eval(piece, values[:k] + values[k + 1 :])
+                total += self._blossoms(spans, np.delete(args, k, axis=1))
             return total / (n + 1)
 
-        return form
+        return _batched_form(n + 1, form)
 
     # -- refinement ---------------------------------------------------------
 
@@ -370,22 +399,41 @@ class BSplineCurve:
         )
 
 
+def _batched_form(arity: int, form: BlossomForm) -> BlossomForm:
+    """Check the arity of a form written for (k, arity) windows and (k,)
+    parameters, and let it also take one argument sequence with a scalar
+    parameter, returning one point."""
+
+    def call(args, u_ref):
+        args = np.asarray(args, dtype=float)
+        if args.shape[-1] != arity:
+            raise ValueError(f"form takes {arity} arguments, got {args.shape[-1]}")
+        if args.ndim == 1:
+            return form(args[None, :], np.array([float(u_ref)]))[0]
+        return form(args, np.broadcast_to(np.asarray(u_ref, dtype=float),
+                                          (len(args),)))
+
+    return call
+
+
 def control_from_blossom(form: BlossomForm, knots: KnotVector) -> np.ndarray:
     """Control polygon of the curve whose blossom is `form` over `knots`.
 
     Vertex i is the form at the knot window u_i..u_{i+m-1} (m the degree
     of `knots`), evaluated on a nondegenerate span J with i-1 <= J <= i+m-1
     so that the window is valid for that piece's polar form.  Any valid
-    candidate gives the same value; the middle one is used.
+    candidate gives the same value; the middle one is used.  All windows
+    go to the form in one call.
     """
     m = knots.degree
-    pts = np.empty((knots.control_count, 3))
-    for i in range(knots.control_count):
-        window = knots[i : i + m]
-        candidates = [j for j in knots._spans if i - 1 <= j <= i + m - 1]
-        if not candidates:
-            raise RuntimeError(f"no valid piece for knot window {i} (malformed knots)")
-        j = candidates[len(candidates) // 2]
-        u_ref = 0.5 * (knots[j] + knots[j + 1])
-        pts[i] = as_point3(form(window, u_ref))
-    return pts
+    rows = np.arange(knots.control_count)
+    spans = knots._spans
+    first = np.searchsorted(spans, rows - 1, side="left")
+    count = np.searchsorted(spans, rows + m - 1, side="right") - first
+    if not np.all(count):
+        i = int(np.argmin(count))
+        raise RuntimeError(f"no valid piece for knot window {i} (malformed knots)")
+    j = spans[first + count // 2]
+    kn = knots._array
+    u_ref = 0.5 * (kn[j] + kn[j + 1])
+    return as_points(form(kn[rows[:, None] + np.arange(m)], u_ref))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bspline import BSplineCurve
+from .bspline import BSplineCurve, _row_norms
 from .strip import DevelopableStrip, RuledPatch
 
 PROBLEM_KINDS = ("problem1", "problem2", "problem3")
@@ -348,8 +348,9 @@ def parse_solution(contents: str) -> RuledPatch:
 # OBJ export
 
 
-def _format_vertex(point: np.ndarray) -> str:
-    return "v %.9g %.9g %.9g" % (point[0], point[1], point[2])
+def _lines(template: str, rows: np.ndarray) -> str:
+    """One line per row of `rows`, filled into a %-format template."""
+    return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def export_obj(patch: RuledPatch, u_samples: int = DEFAULT_U_SAMPLES,
@@ -364,44 +365,32 @@ def export_obj(patch: RuledPatch, u_samples: int = DEFAULT_U_SAMPLES,
     if v_samples < 2:
         raise ValueError("v_samples must be at least 2")
     knots = patch.base.knots
-    us: list[float] = []
-    for piece in range(knots.pieces):
-        lo, hi = knots.piece_interval(piece)
-        row = np.linspace(lo, hi, u_samples)
-        us.extend(row if not us else row[1:])
+    lo, hi = np.array([knots.piece_interval(p)
+                       for p in range(knots.pieces)]).T
+    rows = np.linspace(lo, hi, u_samples, axis=1)
+    us = np.concatenate((rows[:1, 0], rows[:, 1:].ravel()))
+    grid = patch.ruled_eval(us, np.linspace(0.0, 1.0, v_samples))
 
-    vs = np.linspace(0.0, 1.0, v_samples)
-    rows = [[patch.ruled_eval(u, v) for v in vs] for u in us]
+    points = grid.reshape(-1, 3)
+    scale = max(1.0, float(np.max(_row_norms(points))))
+    first = grid[0]
+    apex = bool(np.all(_row_norms(first[1:] - first[0])
+                       <= OBJ_APEX_MERGE_REL * scale))
 
-    scale = max(1.0, max(float(np.linalg.norm(p))
-                         for row in rows for p in row))
-    first = rows[0]
-    apex = all(np.linalg.norm(p - first[0]) <= OBJ_APEX_MERGE_REL * scale
-               for p in first[1:])
+    # 1-based OBJ vertex ids per (row, column)
+    ids = np.arange(1, len(points) + 1).reshape(grid.shape[:2])
+    corners = np.stack((ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:],
+                        ids[:-1, 1:]), axis=-1)
+    fan = np.empty((0, 3), dtype=int)
+    if apex:
+        # the apex row becomes vertex 1, shared by a triangle fan
+        points = np.concatenate((points[:1], points[v_samples:]))
+        corners = np.maximum(corners - (v_samples - 1), 1)
+        fan, corners = corners[0, :, :3], corners[1:]
 
     lines = [f"# ruled surface tessellation: {len(us)} rows x {v_samples} "
-             "columns" + (", apex row merged" if apex else "")]
-    index: list[list[int]] = []  # 1-based OBJ vertex ids per (row, column)
-    counter = 0
-    for r, row in enumerate(rows):
-        if r == 0 and apex:
-            counter += 1
-            lines.append(_format_vertex(first[0]))
-            index.append([counter] * v_samples)
-            continue
-        ids = []
-        for point in row:
-            counter += 1
-            lines.append(_format_vertex(point))
-            ids.append(counter)
-        index.append(ids)
-
-    for r in range(len(rows) - 1):
-        above, below = index[r], index[r + 1]
-        for c in range(v_samples - 1):
-            if above[c] == above[c + 1]:
-                lines.append(f"f {above[c]} {below[c]} {below[c + 1]}")
-            else:
-                lines.append(f"f {above[c]} {below[c]} {below[c + 1]} "
-                             f"{above[c + 1]}")
-    return "\n".join(lines) + "\n"
+             "columns" + (", apex row merged" if apex else ""),
+             _lines("v %.9g %.9g %.9g", points),
+             _lines("f %d %d %d", fan),
+             _lines("f %d %d %d %d", corners.reshape(-1, 4))]
+    return "\n".join(line for line in lines if line) + "\n"

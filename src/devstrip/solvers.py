@@ -18,13 +18,13 @@ of the chosen root is closed-form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .bspline import (BlossomForm, BSplineCurve, KnotVector, as_point3,
-                      control_from_blossom)
+                      _batched_form, control_from_blossom)
 from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
                      InfeasibleProblemError, PlanarSurfaceError)
 from .fileio import ProblemSpec
@@ -332,20 +332,18 @@ def scaled_boundary_blossom(base: BSplineCurve, opposite: BSplineCurve,
     if base.knots != opposite.knots:
         raise ValueError("curves must share one knot list")
     n = base.degree
+    base_form, opposite_form = base.polar_form(), opposite.polar_form()
 
-    def form(args: Sequence[float], u_ref: float) -> np.ndarray:
-        if len(args) != n + 1:
-            raise ValueError(f"form expects {n + 1} arguments, got {len(args)}")
-        piece = base.knots.piece_for(u_ref)
-        total = np.zeros(3)
+    def form(args: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
+        total = np.zeros((len(args), 3))
         for k in range(n + 1):
-            rest = tuple(args[:k]) + tuple(args[k + 1:])
-            f_k = scaling(args[k])
-            total += f_k * opposite.blossom_eval(piece, rest)
-            total += (1.0 - f_k) * base.blossom_eval(piece, rest)
+            rest = np.delete(args, k, axis=1)
+            f_k = scaling(args[:, k])[:, None]
+            total += f_k * opposite_form(rest, u_ref)
+            total += (1.0 - f_k) * base_form(rest, u_ref)
         return total / (n + 1)
 
-    return form
+    return _batched_form(n + 1, form)
 
 
 def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve,

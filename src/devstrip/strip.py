@@ -49,16 +49,21 @@ class RuledPatch:
     def domain(self) -> tuple[float, float]:
         return self._base.domain
 
-    def ruled_eval(self, u: float, v: float) -> np.ndarray:
+    def ruled_eval(self, u, v) -> np.ndarray:
         """Point b(u, v) = (1 - v) c(u) + v d(u).
 
-        v outside [0, 1] extends the patch along the ruling lines.
+        v outside [0, 1] extends the patch along the ruling lines.  Each of
+        u and v is a scalar or 1-D; arrays give the grid of points, shaped
+        u.shape + v.shape + (3,).
         """
-        v = float(v)
-        return (1.0 - v) * self._base.evaluate(u) + v * self._opposite.evaluate(u)
+        c, d = self._base.evaluate(u), self._opposite.evaluate(u)
+        v = np.asarray(v, dtype=float)
+        if v.ndim:
+            c, d, v = c[..., None, :], d[..., None, :], v[:, None]
+        return (1.0 - v) * c + v * d
 
-    def ruling_at(self, u: float) -> np.ndarray:
-        """Director vector d(u) - c(u) of the ruling at u."""
+    def ruling_at(self, u) -> np.ndarray:
+        """Director vector d(u) - c(u) of the ruling at u (scalar or 1-D)."""
         return self._opposite.evaluate(u) - self._base.evaluate(u)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import BSplineCurve, as_point3
+from .bspline import BSplineCurve, as_point3, _row_norms
 from .strip import RuledPatch
 
 # Rulings shorter than this fraction of the patch scale are collapsed points
@@ -56,31 +56,28 @@ def developability_scan(patch: RuledPatch,
     scale = _patch_scale(patch)
     floor = NORM_FLOOR_REL * scale
 
-    worst = 0.0
-    arg = patch.domain[0]
-    taken = 0
-    skipped = 0
-    for piece in range(base.pieces):
-        lo, hi = base.knots.piece_interval(piece)
-        off = KNOT_SAMPLE_OFFSET_REL * (hi - lo)
-        for u in np.linspace(lo + off, hi - off, samples_per_piece):
-            ruling = opp.evaluate(u) - base.evaluate(u)
-            r_len = np.linalg.norm(ruling)
-            if r_len < COLLAPSED_RULING_REL * scale:
-                skipped += 1
-                continue
-            cv = base.derivative_at(u)
-            dv = opp.derivative_at(u)
-            det = np.linalg.det(np.column_stack((cv, dv, ruling)))
-            denom = (max(np.linalg.norm(cv), floor)
-                     * max(np.linalg.norm(dv), floor)
-                     * max(r_len, floor))
-            taken += 1
-            residual = abs(det) / denom
-            if residual > worst:
-                worst = residual
-                arg = float(u)
-    return DevelopabilityScan(worst, arg, taken, skipped)
+    knots = base.knots
+    lo, hi = np.array([knots.piece_interval(p) for p in range(knots.pieces)]).T
+    off = KNOT_SAMPLE_OFFSET_REL * (hi - lo)
+    us = np.linspace(lo + off, hi - off, samples_per_piece, axis=1).ravel()
+    ruling = opp.evaluate(us) - base.evaluate(us)
+    r_len = _row_norms(ruling)
+    kept = ~(r_len < COLLAPSED_RULING_REL * scale)
+    skipped = len(us) - int(np.count_nonzero(kept))
+    us, ruling, r_len = us[kept], ruling[kept], r_len[kept]
+    cv = base.derivative_at(us)
+    dv = opp.derivative_at(us)
+    det = np.linalg.det(np.stack((cv, dv, ruling), axis=-1))
+    denom = (np.maximum(_row_norms(cv), floor)
+             * np.maximum(_row_norms(dv), floor)
+             * np.maximum(r_len, floor))
+    # Entry 0 stands for "nothing positive yet"; argmax takes the first
+    # maximum, and NaN residuals never count as the worst.
+    residual = np.concatenate(([0.0], np.abs(det) / denom))
+    residual[~(residual > 0.0)] = 0.0
+    worst = int(np.argmax(residual))
+    arg = float(us[worst - 1]) if worst else patch.domain[0]
+    return DevelopabilityScan(float(residual[worst]), arg, len(us), skipped)
 
 
 def curves_pointwise_equal(p: BSplineCurve, q: BSplineCurve,
@@ -97,12 +94,10 @@ def curves_pointwise_equal(p: BSplineCurve, q: BSplineCurve,
         raise ValueError(
             "curves are parameterized over different domains: "
             f"[{pa}, {pb}] vs [{qa}, {qb}]")
-    worst = 0.0
-    for u in np.linspace(pa, pb, samples):
-        # Clamp against sub-ulp domain mismatch at the far endpoint.
-        qu = q.evaluate(min(max(u, qa), qb))
-        worst = max(worst, float(np.linalg.norm(p.evaluate(u) - qu)))
-    return worst
+    us = np.linspace(pa, pb, samples)
+    # Clamp against sub-ulp domain mismatch at the far endpoint.
+    gaps = _row_norms(p.evaluate(us) - q.evaluate(np.clip(us, qa, qb)))
+    return float(np.max(gaps, initial=0.0, where=gaps > 0.0))
 
 
 def cell_planarity_residual(cell) -> float:

@@ -9,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from devstrip import parse_problem, run_cli, serialize_solution, solve_spec
+from devstrip import (parse_problem, run_cli, serialize_problem,
+                      serialize_solution, solve_spec)
 
 from helpers import assert_polygon_close
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
 FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.json"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SOLVE_OUTPUTS = ("solution.json", "surface.obj", "report.json", "report.txt")
 
 
 def load_script(name: str, monkeypatch):
@@ -81,6 +84,19 @@ class TestSolveSpec:
         assert all(solved.pinch_u is None for solved in kinds.values())
 
 
+class TestGoldenOutputs:
+    """`devstrip solve` writes the bytes stored under tests/golden/."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_solve_writes_the_golden_files(self, tmp_path, name):
+        assert run_cli(["solve", "--problem", str(FIXTURES / name),
+                        "--out", str(tmp_path)]) == 0
+        golden = GOLDEN / Path(name).stem
+        for output in SOLVE_OUTPUTS:
+            assert (tmp_path / output).read_bytes() == \
+                (golden / output).read_bytes(), output
+
+
 class TestScripts:
 
     def test_solve_fixtures_prints_one_block_per_fixture(self, monkeypatch,
@@ -105,3 +121,19 @@ class TestScripts:
         blocks = [label for label, _ in itertools.groupby(
             row[:6] for row in rows)]
         assert blocks == ["   0.0", "  90.0", " 180.0", " 270.0"]
+
+    def test_root_sweep_turns_a_far_end_anchor_with_w(self, tmp_path,
+                                                      monkeypatch, capsys):
+        spec = parse_problem((FIXTURES / "spline3.json").read_text())
+        far = tuple(solve_spec(spec).patch.opposite.control[-1])
+        problem = tmp_path / "far_end.json"
+        problem.write_text(serialize_problem(
+            replace(spec, anchor_end="end", anchor_point=far)))
+        script = load_script("root_sweep", monkeypatch)
+        assert script.main(["--problem", str(problem), "--angles", "8"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        blocks = [label for label, _ in itertools.groupby(
+            row[:6] for row in rows)]
+        assert blocks == [f"{45.0 * step:6.1f}" for step in range(8)]
+        # the anchor turns with w, so it pins the same ruling scale tau
+        assert {row.split()[4] for row in rows} == {"2.2389"}

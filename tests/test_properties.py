@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from devstrip import (
+    AffineScaling,
     BSplineCurve,
     DegenerateCaseError,
     DevelopableStrip,
@@ -28,7 +29,8 @@ from devstrip import (
 )
 
 import reference as ref
-from helpers import assert_point_close
+from helpers import (assert_point_close, loop_blossom_on_span,
+                     loop_derivative_at, loop_evaluate, loop_span_for)
 
 coordinates = st.floats(-10.0, 10.0, allow_nan=False, width=64)
 points = st.tuples(coordinates, coordinates, coordinates)
@@ -54,6 +56,31 @@ def curve_and_parameter(draw):
     a, b = curve.domain
     t = draw(st.floats(0.0, 1.0))
     return curve, a + t * (b - a)
+
+
+@st.composite
+def curve_pairs_on_any_knots(draw) -> tuple[BSplineCurve, BSplineCurve]:
+    """Two curves over one knot vector: degree 1-7, 1-4 pieces, inner knots
+    of any multiplicity up to the degree, clamped or open ends.
+
+    Control points come from a drawn seed: a failing draw then shrinks
+    through a few integers instead of dozens of floats."""
+    degree = draw(st.integers(1, 7))
+    gaps = draw(st.lists(st.floats(0.25, 1.0), min_size=1, max_size=4))
+    breaks = [0.0] + list(np.cumsum(gaps))
+    mults = draw(st.lists(st.integers(1, degree), min_size=len(gaps) - 1,
+                          max_size=len(gaps) - 1))
+    inner = [x for x, m in zip(breaks[1:-1], mults) for _ in range(m)]
+    if draw(st.booleans()):
+        head, tail = [breaks[0]] * degree, [breaks[-1]] * degree
+    else:
+        head = [breaks[0] - 0.5 * k for k in range(degree - 1, -1, -1)]
+        tail = [breaks[-1] + 0.5 * k for k in range(degree)]
+    knots = head + inner + tail
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    polygons = rng.uniform(-10.0, 10.0, (2, len(knots) - degree + 1, 3))
+    return (BSplineCurve(knots, polygons[0], degree),
+            BSplineCurve(knots, polygons[1], degree))
 
 
 def scale_of(*curves) -> float:
@@ -95,6 +122,75 @@ class TestBlossomAlgebra:
         combo = (theta * curve.blossom_eval(piece, (x,) + rest)
                  + (1 - theta) * curve.blossom_eval(piece, (y,) + rest))
         assert_point_close(mixed, combo, 1e-8 * scale_of(curve))
+
+
+class TestBatchedEvaluator:
+    """The batched de Boor kernel equals the scalar loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve_pairs_on_any_knots(), st.data())
+    def test_forms_match_the_loop_on_mixed_spans(self, pair, data):
+        base, opposite = pair
+        n, knots = base.degree, base.knots
+        a, b = base.domain
+        width = b - a
+        k = data.draw(st.integers(1, 6))
+        # reference parameters: anywhere in the domain or exactly on a knot
+        u_refs = data.draw(st.lists(
+            st.floats(a, b) | st.sampled_from(knots.inner_values()),
+            min_size=k, max_size=k))
+        # arguments range past the piece and past the domain
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        args = rng.uniform(a - width, b + width, (k, n + 1))
+        spans = [loop_span_for(knots, u) for u in u_refs]
+
+        got = base.polar_form()(args[:, :n], np.array(u_refs))
+        want = [loop_blossom_on_span(base, j, row[:n])
+                for j, row in zip(spans, args)]
+        assert np.array_equal(got, want)
+        piece = knots.piece_for(u_refs[0])
+        assert np.array_equal(base.blossom_eval(piece, args[0, :n]), want[0])
+        assert np.array_equal(base.polar_form()(args[0, :n], u_refs[0]),
+                              want[0])
+
+        got = base.elevated_polar_form()(args, np.array(u_refs))
+        scaling = AffineScaling(0.7, -0.2)
+        scaled = scaled_boundary_blossom(base, opposite, scaling)(
+            args, np.array(u_refs))
+        for j, row, elevated, blend in zip(spans, args, got, scaled):
+            total = np.zeros(3)
+            mixed = np.zeros(3)
+            for drop in range(n + 1):
+                rest = list(row[:drop]) + list(row[drop + 1:])
+                total += loop_blossom_on_span(base, j, rest)
+                f_k = scaling(row[drop])
+                mixed += f_k * loop_blossom_on_span(opposite, j, rest)
+                mixed += (1.0 - f_k) * loop_blossom_on_span(base, j, rest)
+            assert np.array_equal(elevated, total / (n + 1))
+            assert np.array_equal(blend, mixed / (n + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve_pairs_on_any_knots(),
+           st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_evaluators_match_the_loop_at_knots_and_between(self, pair, ts):
+        curve = pair[0]
+        knots = curve.knots
+        a, b = curve.domain
+        us = np.array([a + t * (b - a) for t in ts]
+                      + list(knots.inner_values()))
+        points = curve.evaluate(us)
+        velocities = curve.derivative_at(us)
+        pieces = knots.piece_for(us)
+        assert points.shape == velocities.shape == (len(us), 3)
+        for u, point, velocity, piece in zip(us, points, velocities, pieces):
+            # right-continuous at inner knots, as the bisection reference
+            assert knots.piece_interval(piece)[0] == \
+                knots[loop_span_for(knots, u)]
+            assert knots.piece_for(float(u)) == piece
+            assert np.array_equal(point, loop_evaluate(curve, u))
+            assert np.array_equal(velocity, loop_derivative_at(curve, u))
+            assert np.array_equal(curve.evaluate(float(u)), point)
+            assert np.array_equal(curve.derivative_at(float(u)), velocity)
 
 
 class TestPointSetPreservation:

@@ -1,5 +1,7 @@
 """Sampling-based checks used as oracles for the constructive code."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,18 @@ from devstrip import (
     RuledPatch,
     curves_pointwise_equal,
     developability_scan,
+    parse_problem,
     planarity_report,
+    solve_spec,
     solve_problem1,
     solve_problem2,
     solve_problem3,
 )
 
 import reference as ref
-from helpers import assert_point_close
+from helpers import assert_point_close, loop_developability_scan
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestDevelopabilityScan:
@@ -82,6 +88,24 @@ class TestDevelopabilityScan:
         assert scan.samples == 0
         assert scan.skipped == 10 * cubic_curve.pieces
         assert scan.max_residual == 0.0
+        assert scan.argmax_u == collapsed.domain[0]
+
+    @pytest.mark.parametrize("samples", [7, 100])
+    @pytest.mark.parametrize("name", ["spline3", "spline4", "splinet"])
+    def test_record_equals_the_loop_on_the_fixtures(self, name, samples):
+        spec = parse_problem((FIXTURES / f"{name}.json").read_text())
+        patch = solve_spec(spec).patch
+        scan = developability_scan(patch, samples)
+        assert scan == loop_developability_scan(patch, samples)
+        # the triangular fixture's apex sample is skipped, not failed
+        assert (scan.skipped > 0) == (name == "splinet")
+
+    def test_record_holds_python_numbers(self, quad_strip):
+        scan = developability_scan(quad_strip)
+        assert type(scan.max_residual) is float
+        assert type(scan.argmax_u) is float
+        assert type(scan.samples) is int
+        assert type(scan.skipped) is int
 
 
 class TestCurvesPointwiseEqual:
