@@ -17,10 +17,8 @@ from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
 from .fileio import (ProblemSpec, SolveReport, export_obj, parse_curve,
                      parse_problem, parse_solution, serialize_curve,
                      serialize_problem, serialize_solution)
-from .polyroots import ZeroPolynomialError, real_roots
 from .solvers import (AffineScaling, Problem1Solution, Problem2Solution,
-                      Problem3Solution, RationalPoint3Function, Solved,
-                      apex_direction, build_a_rational, cramer_polynomial,
+                      Problem3Solution, Solved, apex_direction,
                       ruling_coefficients, scaled_boundary_blossom,
                       solve_problem1, solve_problem2, solve_problem3,
                       solve_spec)
@@ -36,9 +34,8 @@ __all__ = [
     "BSplineCurve", "KnotVector", "control_from_blossom",
     "RuledPatch", "DevelopableStrip", "propagate_polygon",
     "control_relation_residuals",
-    "RationalPoint3Function", "AffineScaling",
+    "AffineScaling",
     "Problem1Solution", "Problem2Solution", "Problem3Solution", "Solved",
-    "build_a_rational", "cramer_polynomial", "real_roots",
     "ruling_coefficients", "scaled_boundary_blossom",
     "solve_problem1", "solve_problem2", "solve_problem3", "apex_direction",
     "solve_spec",
@@ -48,5 +45,5 @@ __all__ = [
     "parse_curve", "serialize_curve", "parse_solution", "serialize_solution",
     "export_obj", "run_cli", "main",
     "InfeasibleProblemError", "DegenerateCaseError", "CylinderCaseError",
-    "ConeCaseError", "PlanarSurfaceError", "ZeroPolynomialError",
+    "ConeCaseError", "PlanarSurfaceError",
 ]

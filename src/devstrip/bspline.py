@@ -89,10 +89,11 @@ class KnotVector(Sequence):
             raise ValueError("domain interval has zero length")
         tol = KNOT_EQ_REL * span_of_domain
 
-        # multiplicity above the degree would disconnect the curve
+        # multiplicity above the degree would disconnect the curve; a run
+        # continues while each knot lies within tol of its predecessor
         run_start = 0
         for i in range(1, len(values) + 1):
-            if i == len(values) or values[i] - values[run_start] > tol:
+            if i == len(values) or values[i] - values[i - 1] > tol:
                 if i - run_start > n:
                     raise ValueError(
                         f"knot value {values[run_start]} has multiplicity "
@@ -181,14 +182,13 @@ class KnotVector(Sequence):
         return sum(1 for u in self._knots if abs(u - value) <= self._tol)
 
     def inner_values(self) -> tuple[float, ...]:
-        """Distinct knot values inside the domain, ascending."""
+        """Distinct knot values inside the domain, ascending: the first knot
+        of every run whose neighbours lie within the knot tolerance, so
+        consecutive values are more than the tolerance apart."""
         n = self._degree
-        last = len(self._knots) - n
-        distinct: list[float] = []
-        for u in self._knots[n - 1 : last + 1]:
-            if not distinct or u - distinct[-1] > self._tol:
-                distinct.append(u)
-        return tuple(distinct)
+        inside = self._knots[n - 1 : len(self._knots) - n + 1]
+        return inside[:1] + tuple(u for prev, u in zip(inside, inside[1:])
+                                  if u - prev > self._tol)
 
     def _span_index(self, piece: int) -> int:
         if not 0 <= piece < len(self._spans):
@@ -311,48 +311,61 @@ class BSplineCurve:
         span = self._knots._span_index(piece)
         return self._blossoms(np.array([span]), values)[0]
 
-    def _blossoms(self, spans: np.ndarray, args: np.ndarray) -> np.ndarray:
-        """Polar forms of the pieces on knot spans `spans` (k,) at the rows
-        of `args` (k, n), as (k, 3) points; rows may mix spans.
+    def _de_boor(self, spans: np.ndarray, args: np.ndarray, stages: int) -> np.ndarray:
+        """The first `stages` stages of de Boor's recursion for the pieces on
+        knot spans `spans` (k,) at the rows of `args` (k, n), laid out as
+        (n+1, 3, k) with the k rows innermost; rows may mix spans.
 
-        De Boor's recursion: stage r pulls argument r in, replacing one knot
-        of every pair that brackets the span, over all k rows at once.
+        Stage r pulls argument r in, replacing one knot of every pair that
+        brackets the span, over all k rows at once.
         """
         n = self.degree
         kn = self._knots._array
-        first = spans[:, None] - n  # pts[:, i] starts as control point first + 1 + i
-        pts = self._control[first + np.arange(1, n + 2)]
-        for r in range(1, n + 1):
-            i = np.arange(r, n + 1)
+        first = spans - n  # pts[i] starts as control point first + 1 + i
+        pts = self._control[first + np.arange(1, n + 2)[:, None]].transpose(0, 2, 1).copy()
+        for r in range(1, stages + 1):
+            i = np.arange(r, n + 1)[:, None]
             lo = kn[first + i]
             hi = kn[first + i + n + 1 - r]
-            w = ((args[:, r - 1, None] - lo) / (hi - lo))[:, :, None]
-            pts[:, r:] = (1.0 - w) * pts[:, r - 1 : n] + w * pts[:, r:]
-        return pts[:, n]
+            w = ((args[:, r - 1] - lo) / (hi - lo))[:, None, :]
+            pts[r:] = (1.0 - w) * pts[r - 1 : n] + w * pts[r:]
+        return pts
+
+    def _blossoms(self, spans: np.ndarray, args: np.ndarray) -> np.ndarray:
+        """Polar forms of the pieces on knot spans `spans` (k,) at the rows
+        of `args` (k, n), as (k, 3) points; rows may mix spans."""
+        return np.ascontiguousarray(self._de_boor(spans, args, self.degree)[-1].T)
+
+    def _point_and_velocity(self, spans: np.ndarray, us: np.ndarray):
+        """Points c(u) and one-sided velocities c'(u) at the (k,) parameters
+        `us` on knot spans `spans`, each as (k, 3), from one de Boor triangle.
+
+        The n-1 stages at u are shared; the last stage gives the point, and
+        the two points it blends give the velocity n (P1 - P0) / (t1 - t0),
+        which is the blossom difference at (u, ..., u, t1) and (u, ..., u, t0)
+        since those last stages blend with weights exactly 1 and 0."""
+        n = self.degree
+        pts = self._de_boor(spans, np.repeat(us[:, None], n - 1, axis=1), n - 1)
+        t0, t1 = self._knots._array[spans], self._knots._array[spans + 1]
+        w = (us - t0) / (t1 - t0)
+        point = (1.0 - w) * pts[n - 1] + w * pts[n]
+        velocity = n * (pts[n] - pts[n - 1]) / (t1 - t0)
+        return np.ascontiguousarray(point.T), np.ascontiguousarray(velocity.T)
 
     def evaluate(self, u) -> np.ndarray:
         """Curve point c(u); the diagonal of the blossom.
 
         A 1-D array of k parameters gives a (k, 3) array of points."""
         us = np.asarray(u, dtype=float)
-        spans = self._knots._spans_for(us)
-        points = self._blossoms(spans, np.repeat(us.reshape(-1, 1), self.degree, axis=1))
+        points = self._point_and_velocity(self._knots._spans_for(us), us.reshape(-1))[0]
         return points if us.ndim else points[0]
 
     def derivative_at(self, u) -> np.ndarray:
         """Velocity c'(u), one-sided on the piece containing u.
 
         A 1-D array of k parameters gives a (k, 3) array of velocities."""
-        n = self.degree
         us = np.asarray(u, dtype=float)
-        spans = self._knots._spans_for(us)
-        t0, t1 = self._knots._array[spans], self._knots._array[spans + 1]
-        args = np.repeat(us.reshape(-1, 1), n, axis=1)
-        args[:, n - 1] = t1
-        upper = self._blossoms(spans, args)
-        args[:, n - 1] = t0
-        lower = self._blossoms(spans, args)
-        velocity = n * (upper - lower) / (t1 - t0)[:, None]
+        velocity = self._point_and_velocity(self._knots._spans_for(us), us.reshape(-1))[1]
         return velocity if us.ndim else velocity[0]
 
     # -- polar forms for re-expressing the curve over other knot lists ----

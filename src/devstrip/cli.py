@@ -83,8 +83,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     scan = developability_scan(patch, REPORT_SAMPLES_PER_PIECE)
     report = SolveReport(
         problem_kind=spec.problem_kind,
-        polynomial_coefficients=tuple(float(c)
-                                      for c in inner.polynomial.coef),
         roots=tuple(float(r) for r in inner.m_star_roots),
         chosen_m_star=float(inner.chosen_root),
         lambda_star=float(inner.lambda_star),

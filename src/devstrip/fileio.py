@@ -64,7 +64,6 @@ class SolveReport:
     """Numeric summary of a finished solve, for humans and regression runs."""
 
     problem_kind: str
-    polynomial_coefficients: tuple[float, ...]  # ascending degree
     roots: tuple[float, ...]
     chosen_m_star: float
     lambda_star: float
@@ -79,7 +78,7 @@ class SolveReport:
     pinch_u: Optional[float] = None
 
     def __post_init__(self):
-        numbers = list(self.polynomial_coefficients) + list(self.roots)
+        numbers = list(self.roots)
         numbers += [self.chosen_m_star, self.lambda_star, self.alpha,
                     self.beta, self.sigma, self.tau,
                     self.max_developability, self.worst_cell_planarity]
@@ -100,8 +99,6 @@ class SolveReport:
     def as_text(self) -> str:
         lines = [
             f"problem kind:       {self.problem_kind}",
-            "coplanarity polynomial coefficients (ascending): "
-            + ", ".join(repr(c) for c in self.polynomial_coefficients),
             "admissible roots M*: "
             + ", ".join(f"{r:.6g}" for r in self.roots),
             f"chosen M*:          {self.chosen_m_star:.6g}",

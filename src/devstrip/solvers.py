@@ -10,9 +10,10 @@ Three levels of prescription are supported, each reduced to the one before:
 
 ``solve_spec`` dispatches a parsed problem file to the matching solver.
 
-Candidate interior parameters are the real roots of a coplanarity
-polynomial assembled by exact polynomial arithmetic; everything downstream
-of the chosen root is closed-form.
+Candidate interior parameters are the real roots of a compatibility
+function kept in ratio-product form and found interval by interval between
+its poles, the knots; everything downstream of the chosen root is
+closed-form.
 """
 
 from __future__ import annotations
@@ -21,25 +22,51 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial.chebyshev import chebroots
 
 from .bspline import (BlossomForm, BSplineCurve, KnotVector, as_point3,
                       _batched_form, control_from_blossom)
 from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
                      InfeasibleProblemError, PlanarSurfaceError)
 from .fileio import ProblemSpec
-from .polyroots import real_roots
 from .strip import DevelopableStrip, RuledPatch, propagate_polygon
 
 RULING_PARALLEL_TOL = 1e-9
 ANCHOR_LINE_TOL = 1e-9
 CONE_TOL = 1e-9
 OUT_OF_PLANE_TOL = 1e-9
-PLANAR_COEF_REL = 1e-12
+# Data are planar when every det(c_i − c_L, v, w) is below this fraction of
+# max ‖c_i − c_L‖ · ‖v × w‖, the largest value such a determinant can take.
+PLANAR_DET_REL = 1e-12
 
 # Roots this close to a knot (fraction of domain length) sit on recursion
 # poles and are never admissible parameters.
 KNOT_EXCLUSION_REL = 1e-6
+
+# The compatibility function is evaluated in blocks of weights of at most
+# this many entries (64 kB), so its temporaries stay small at any L.
+WEIGHT_BLOCK = 2 ** 13
+
+# Adaptive Chebyshev interpolation of the compatibility function, one piece
+# per pole interval (Boyd, SIAM J. Numer. Anal. 40, 2002).  A piece is
+# sampled at these sizes in turn, then halved and tried again, so colleague
+# matrices stay at most 63 x 63; after the last halving a piece is taken as
+# it stands.
+CHEB_SIZES = (16, 32, 64)
+CHEB_MAX_HALVINGS = 20
+# A piece has converged when its last quarter of coefficients falls below
+# this fraction of the piece's largest sum of absolute terms, the scale of
+# the rounding in its samples; smaller coefficients are dropped.
+CHEB_TAIL_REL = 1e-13
+# Eigenvalues of the colleague matrix count as real roots when their
+# imaginary part, in half-widths of their piece, is below this; a double
+# root splits by about the square root of CHEB_TAIL_REL.
+CHEB_IMAG_TOL = 1e-5
+# Roots of one pole interval closer than this, in half-widths of the
+# interval's variable x, are one (multiple) root, and a Newton step that
+# polishes a root moves it by at most this much.  On an outer ray, a root
+# this close to x = 1 is the point at infinity.
+CHEB_MERGE_TOL = 1e-5
 
 
 def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -47,60 +74,150 @@ def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the intersection point a(M*) as a rational function
+# the compatibility function in ratio-product form
 
 
-@dataclass(frozen=True, eq=False)
-class RationalPoint3Function:
-    """Point-valued rational function of the interior parameter M*.
+def _ratio_weights(knots: KnotVector, count: int, m) -> np.ndarray:
+    """Weights (k, L) of the vertices c_0..c_{L-1} in the point a(M*) where
+    the last ruling's line meets the first one, at each of k parameters.
 
-    Coordinates share one denominator whose roots all sit at knot values,
-    so the function is regular everywhere a solve is allowed to look."""
-
-    numerators: tuple[Polynomial, Polynomial, Polynomial]
-    denominator: Polynomial
-
-    def evaluate(self, m: float) -> np.ndarray:
-        den = self.denominator(m)
-        return np.array([num(m) for num in self.numerators]) / den
-
-    __call__ = evaluate
-
-
-def _from_roots(roots: list[float]) -> Polynomial:
-    # empty products are 1; numpy's fromroots rejects the empty list
-    return Polynomial.fromroots(roots) if roots else Polynomial([1.0])
-
-
-def _vertex_weights(knots: KnotVector,
-                    count: int) -> tuple[list[Polynomial], Polynomial]:
-    """Polynomial weights of vertices 0..L-1 in the last-ruling point, plus
-    the common denominator.  The weights sum to the denominator, so the
-    point is an affine combination of the control polygon for every M*."""
-    last = count - 1
+    With ρ_j = (m − u_{j+n+1}) / (m − u_j) and S_i = ρ_i ⋯ ρ_{L-2}, the
+    weights are S_0 and (u_{i+n} − u_{i-1}) / (m − u_{i-1}) · S_i.  Every
+    factor is a ratio of distances to knots, so nothing is multiplied out
+    and nothing overflows.  The weights sum to 1 for every m; their poles
+    are the knots u_0..u_{L-2}."""
     n = knots.degree
-    weights = [_from_roots([knots[i + n] for i in range(1, last)])]
-    for i in range(1, last):
-        gap = knots[i + n] - knots[i - 1]
-        head = _from_roots([knots[k] for k in range(i - 1)])
-        tail = _from_roots([knots[n + j + 1] for j in range(i, last - 1)])
-        weights.append(gap * head * tail)
-    denominator = _from_roots([knots[k] for k in range(last - 1)])
-    return weights, denominator
+    u = knots._array
+    last = count - 1
+    m = np.asarray(m, dtype=float)[:, None]
+    below = m - u[: last - 1]
+    above = u[n + 1 : n + last]
+    weights = np.ones((len(m), last))
+    weights[:, :-1] = np.cumprod(((m - above) / below)[:, ::-1], axis=1)[:, ::-1]
+    weights[:, 1:] *= (above - u[: last - 1]) / below
+    return weights
 
 
-def build_a_rational(curve: BSplineCurve) -> RationalPoint3Function:
-    """Where the last ruling's line meets the first one, as a function of M*.
+def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
+                ) -> list[float]:
+    """Real roots, ascending, of a rational function of m.
 
-    Each coordinate is a polynomial over the shared denominator; both are
-    assembled exactly from knot differences, no sampling involved."""
-    ctrl = curve.control
-    weights, denominator = _vertex_weights(curve.knots, len(ctrl))
-    numerators = tuple(
-        sum((weights[i] * float(ctrl[i][axis]) for i in range(len(weights))),
-            Polynomial([0.0]))
-        for axis in range(3))
-    return RationalPoint3Function(numerators, denominator)
+    ``evaluate(m)`` returns the values at an array of m and the sums of
+    absolute terms behind them.  Every pole, repeated by multiplicity, sits
+    on one of the ascending ``splits`` (or within the knot tolerance of
+    it), and the function stays bounded as m → ±∞.  ℝ is cut at the splits.
+    Each finite interval maps onto x in [-1, 1] and its function is
+    multiplied by the interval's end poles.  The ray below a maps by
+    m = a − s(1+x)/(1−x), with s the geometric mean of the first interval
+    and the whole span, and its function is multiplied by ((m−a)/(m−b))^mult
+    at a; the ray above b is its mirror.  Each piece gets an adaptive
+    Chebyshev interpolant; its simple roots get one Newton step.
+    Roots within ``exclusion_radius`` of a split are dropped."""
+    splits = np.asarray(splits, dtype=float)
+    a, b = splits[0], splits[-1]
+    gaps = np.diff(splits)
+    # interval 0 is the ray below a, 1..s-1 lie between splits, s is the ray
+    # above b; m = start + length·(1+x)/2, or start + length·(1+x)/(1−x) on
+    # a ray
+    s = len(splits)
+    ray = np.zeros(s + 1, dtype=bool)
+    ray[[0, -1]] = True
+    start = np.concatenate(([a], splits[:-1], [b]))
+    length = np.concatenate((-np.sqrt(gaps[:1] * (b - a)), gaps,
+                             np.sqrt(gaps[-1:] * (b - a))))
+    far = np.concatenate(([b], splits[:-1], [a]))
+    # the poles at an interval's ends are a run of the ascending poles
+    group = np.maximum(np.searchsorted(splits, poles, side="right") - 1, 0)
+    first = np.searchsorted(group, np.concatenate(([0], np.arange(s))))
+    count = np.searchsorted(
+        group, np.concatenate(([0], np.arange(1, s), [s - 1])),
+        side="right") - first
+    slots = np.arange(count.max(initial=0))
+    is_end = slots < count[:, None]
+    ends = np.zeros(is_end.shape)
+    ends[is_end] = poles[(first[:, None] + slots)[is_end]]
+    far_power = np.where(ray, count, 0)
+
+    def to_m(piece, x):
+        return start[piece] + length[piece] * (1.0 + x) / np.where(
+            ray[piece], 1.0 - x, 2.0)
+
+    def sample(piece, x):
+        # the interval's function and the sums of absolute terms behind it
+        m = to_m(piece, x)
+        values, sizes = evaluate(m.ravel())
+        factor = (np.prod(m[..., None] - ends[piece], axis=-1,
+                          where=is_end[piece])
+                  / (m - far[piece]) ** far_power[piece])
+        return (values.reshape(m.shape) * factor,
+                sizes.reshape(m.shape) * np.abs(factor))
+
+    found = []  # (interval, x) per root of an interpolant
+    piece = np.arange(s + 1)
+    lo, hi = -np.ones(s + 1), np.ones(s + 1)
+    for halvings in range(CHEB_MAX_HALVINGS + 1):
+        for size in CHEB_SIZES:
+            theta = np.pi * (np.arange(size) + 0.5) / size
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            values, sizes = sample(piece[:, None],
+                                   mid[:, None] + half[:, None] * np.cos(theta))
+            basis = np.cos(np.outer(theta, np.arange(size))) * (2.0 / size)
+            basis[:, 0] *= 0.5
+            coef = values @ basis
+            tol = CHEB_TAIL_REL * np.max(sizes, axis=1)
+            # a piece with non-finite samples has no roots to find
+            done = (np.max(np.abs(coef[:, -(size // 4):]), axis=1) <= tol) \
+                | ~np.all(np.isfinite(coef), axis=1)
+            if halvings == CHEB_MAX_HALVINGS and size == CHEB_SIZES[-1]:
+                done[:] = True
+            for i in np.flatnonzero(done):
+                found += [(piece[i], mid[i] + half[i] * t)
+                          for t in _chebyshev_real_roots(coef[i], tol[i])]
+            piece, lo, hi = piece[~done], lo[~done], hi[~done]
+            if not piece.size:
+                break
+        if not piece.size:
+            break
+        mid = 0.5 * (lo + hi)
+        piece = np.repeat(piece, 2)
+        lo, hi = np.ravel((lo, mid), order="F"), np.ravel((mid, hi), order="F")
+
+    if not found:
+        return []
+    found.sort()
+    piece, x = (np.array(column) for column in zip(*found))
+    # one root per cluster at its mean x; a lone eigenvalue is a simple
+    # root, polished by a Newton step whose slope is a central difference
+    # over half the merge tolerance (at a multiple root that slope is noise)
+    label = np.cumsum(np.concatenate(([0], (np.diff(piece) != 0)
+                                      | (np.diff(x) > CHEB_MERGE_TOL))))
+    members = np.bincount(label)
+    piece = piece[np.cumsum(members) - 1]
+    x = np.bincount(label, x) / members
+    finite = ~ray[piece] | (x < 1.0 - CHEB_MERGE_TOL)
+    piece, x, members = piece[finite], x[finite], members[finite]
+    h = 0.5 * CHEB_MERGE_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below, at, above = sample(piece[:, None], x[:, None] + (-h, 0.0, h))[0].T
+        step = at * 2.0 * h / (above - below)
+    x = np.where((members == 1) & (np.abs(step) <= CHEB_MERGE_TOL), x - step, x)
+    m = to_m(piece, np.clip(x, -1.0, np.where(ray[piece],
+                                              1.0 - CHEB_MERGE_TOL, 1.0)))
+    keep = np.all(np.abs(m[:, None] - splits) > exclusion_radius, axis=1)
+    return sorted(float(r) for r in m[keep])
+
+
+def _chebyshev_real_roots(coef: np.ndarray, tol: float) -> np.ndarray:
+    """Real roots in [-1, 1] of the Chebyshev series ``coef`` with its
+    coefficients at or below ``tol`` dropped from the top; none when the
+    leading term bounds the rest away from zero."""
+    big = np.flatnonzero(np.abs(coef) > tol)
+    if not np.all(np.isfinite(coef)) or big.size == 0 or big[-1] == 0 or \
+            abs(coef[0]) > np.sum(np.abs(coef[1:])):
+        return np.empty(0)
+    t = chebroots(coef[: big[-1] + 1])
+    t = t[np.abs(t.imag) <= CHEB_IMAG_TOL].real
+    return t[np.abs(t) <= 1.0 + CHEB_IMAG_TOL]
 
 
 def _check_directions(v: np.ndarray, w: np.ndarray) -> None:
@@ -111,35 +228,6 @@ def _check_directions(v: np.ndarray, w: np.ndarray) -> None:
         raise CylinderCaseError(
             "end ruling directions are parallel; the surface would be a "
             "cylinder, which this construction does not cover")
-
-
-def cramer_polynomial(curve: BSplineCurve, v, w) -> Polynomial:
-    """Numerator of the coplanarity determinant, denominator cleared.
-
-    Real roots are the admissible interior parameters M*.  Returned monic;
-    the identically zero polynomial (planar data: every parameter works)
-    is returned as Polynomial([0.0])."""
-    v = as_point3(v)
-    w = as_point3(w)
-    _check_directions(v, w)
-    ctrl = curve.control
-    weights, _ = _vertex_weights(curve.knots, len(ctrl))
-    dets = [_det3(ctrl[i] - ctrl[-1], v, w) for i in range(len(weights))]
-    numerator = sum((weights[i] * dets[i] for i in range(len(weights))),
-                    Polynomial([0.0]))
-
-    # Scale of the construction, for deciding "identically zero": the
-    # coefficients the sum would have if no cancellation occurred.
-    witness = sum(abs(d) * np.max(np.abs(p.coef))
-                  for d, p in zip(dets, weights))
-    coef = np.asarray(numerator.coef, dtype=float)
-    top = np.max(np.abs(coef))
-    if top <= PLANAR_COEF_REL * max(witness, 1.0):
-        return Polynomial([0.0])
-    keep = coef.size
-    while keep > 1 and abs(coef[keep - 1]) <= PLANAR_COEF_REL * top:
-        keep -= 1
-    return Polynomial(coef[:keep] / coef[keep - 1])
 
 
 def ruling_coefficients(a_point, c_last, v, w) -> tuple[float, float]:
@@ -183,7 +271,6 @@ class Problem1Solution:
     sigma: float
     tau: float
     strip: DevelopableStrip
-    polynomial: Polynomial
 
 
 def _require_clamped(knots: KnotVector) -> None:
@@ -228,6 +315,7 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
     if (d0 is None) == (dL is None):
         raise ValueError("anchor exactly one endpoint: d0 or dL")
 
+    _check_directions(v, w)
     ctrl = curve.control
     knots = curve.knots
     if d0 is not None:
@@ -237,8 +325,11 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
         dL = as_point3(dL)
         tau_given = _line_scale(dL - ctrl[-1], w, "anchor point dL")
 
-    polynomial = cramer_polynomial(curve, v, w)
-    if polynomial.degree() == 0 and polynomial.coef[0] == 0.0:
+    normal = np.cross(v, w)
+    offsets = ctrl[:-1] - ctrl[-1]
+    deltas = offsets @ normal
+    if np.max(np.abs(deltas), initial=0.0) <= PLANAR_DET_REL * np.linalg.norm(
+            normal) * np.max(np.linalg.norm(offsets, axis=1), initial=0.0):
         raise PlanarSurfaceError(
             "curve and rulings are coplanar; the patch is a plane piece and "
             "every interior parameter works")
@@ -250,9 +341,19 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
             "end ruling lines intersect; the surface would be a cone, which "
             "this construction does not cover")
 
+    def compatibility(m):
+        # values and sums of absolute terms, one block of weights at a time
+        out = np.empty((2, len(m)))
+        rows = max(1, WEIGHT_BLOCK // len(deltas))
+        for i in range(0, len(m), rows):
+            weights = _ratio_weights(knots, len(ctrl), m[i : i + rows])
+            out[0, i : i + rows] = weights @ deltas
+            out[1, i : i + rows] = np.abs(weights) @ np.abs(deltas)
+        return out
+
     a, b = curve.domain
-    roots = real_roots(polynomial, exclusions=list(knots),
-                       exclusion_radius=KNOT_EXCLUSION_REL * (b - a))
+    roots = _real_roots(compatibility, knots._array[: len(ctrl) - 2],
+                        knots.inner_values(), KNOT_EXCLUSION_REL * (b - a))
     if not roots:
         raise InfeasibleProblemError(
             "coplanarity equation has no admissible real root")
@@ -261,7 +362,7 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
                          f"{len(roots)} admissible root(s)")
     m0 = roots[root_choice]
 
-    a_point = build_a_rational(curve).evaluate(m0)
+    a_point = _ratio_weights(knots, len(ctrl), [m0])[0] @ ctrl[:-1]
     alpha, beta = ruling_coefficients(a_point, ctrl[-1], v, w)
     offset_scale = max(1.0, float(np.linalg.norm(a_point - ctrl[-1])))
     if abs(alpha) * np.linalg.norm(v) <= 1e-12 * offset_scale or \
@@ -299,7 +400,7 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
         raise InfeasibleProblemError(
             f"root M*={m0:.6g} did not produce a valid strip: {exc}") from exc
     return Problem1Solution(tuple(roots), m0, lam, alpha, beta,
-                            float(sigma), float(tau), strip, polynomial)
+                            float(sigma), float(tau), strip)
 
 
 # ---------------------------------------------------------------------------

@@ -57,16 +57,17 @@ def developability_scan(patch: RuledPatch,
     floor = NORM_FLOOR_REL * scale
 
     knots = base.knots
-    lo, hi = np.array([knots.piece_interval(p) for p in range(knots.pieces)]).T
+    lo, hi = knots._array[knots._spans], knots._array[knots._spans + 1]
     off = KNOT_SAMPLE_OFFSET_REL * (hi - lo)
     us = np.linspace(lo + off, hi - off, samples_per_piece, axis=1).ravel()
-    ruling = opp.evaluate(us) - base.evaluate(us)
+    spans = knots._spans_for(us)
+    c, cv = base._point_and_velocity(spans, us)
+    d, dv = opp._point_and_velocity(spans, us)
+    ruling = d - c
     r_len = _row_norms(ruling)
     kept = ~(r_len < COLLAPSED_RULING_REL * scale)
     skipped = len(us) - int(np.count_nonzero(kept))
-    us, ruling, r_len = us[kept], ruling[kept], r_len[kept]
-    cv = base.derivative_at(us)
-    dv = opp.derivative_at(us)
+    us, ruling, r_len, cv, dv = us[kept], ruling[kept], r_len[kept], cv[kept], dv[kept]
     det = np.linalg.det(np.stack((cv, dv, ruling), axis=-1))
     denom = (np.maximum(_row_norms(cv), floor)
              * np.maximum(_row_norms(dv), floor)

@@ -1,6 +1,7 @@
 """Small assertion helpers and loop references shared across test modules."""
 
 import bisect
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +29,13 @@ def assert_point_close(point, expected, tol):
     assert worst <= tol, (
         f"point {np.round(point, 6)} deviates from {expected} "
         f"by {worst:.3e} (tolerance {tol:.0e})")
+
+
+def quartic_real_roots(descending):
+    """Real roots, ascending, of a polynomial given by descending
+    coefficients (the frozen reference quartics); none sit on a knot."""
+    roots = np.roots(descending)
+    return sorted(roots[np.abs(roots.imag) < 1e-12].real)
 
 
 # ---------------------------------------------------------------------------
@@ -110,3 +118,82 @@ def loop_developability_scan(patch, samples_per_piece=100):
                 worst = residual
                 arg = float(u)
     return DevelopabilityScan(worst, arg, taken, skipped)
+
+
+# ---------------------------------------------------------------------------
+# Planted developable strips (the recipe of stripbench/cases.py) and an exact
+# sign oracle for the compatibility function.
+
+# Interior knots sit at (k + jitter) / pieces; m* lies 0.5-2 outside [0, 1];
+# lambda* differs from m* by 0.3-1; the first ruling is 0.2-0.5 long.
+PLANT_KNOT_JITTER = 0.3
+PLANT_M_OFFSET = (0.5, 2.0)
+PLANT_LAMBDA_OFFSET = (0.3, 1.0)
+PLANT_FIRST_RULING = (0.2, 0.5)
+
+
+def plant_strip(rng, degree, pieces, scale=1.0):
+    """Knots, base and opposite polygons and (lambda*, m*) of a strip that
+    satisfies the cell relation, on the domain [0, scale].
+
+    The relation is homogeneous in (u, lambda*, m*), so scaling the knots
+    and both constants keeps the polygons."""
+    n = degree
+    inner = (np.arange(1, pieces)
+             + rng.uniform(-PLANT_KNOT_JITTER, PLANT_KNOT_JITTER,
+                           pieces - 1)) / pieces
+    knots = np.concatenate((np.zeros(n), inner, np.ones(n)))
+    count = pieces + n
+    steps = rng.normal(0.0, 0.6 / np.sqrt(count), (count - 1, 3))
+    steps[:, 0] += 1.0 / count
+    base = np.vstack((np.zeros(3), np.cumsum(steps, axis=0)))
+
+    side = rng.choice((-1.0, 1.0))
+    m = (1.0 if side > 0 else 0.0) + side * rng.uniform(*PLANT_M_OFFSET)
+    lam = m + rng.choice((-1.0, 1.0)) * rng.uniform(*PLANT_LAMBDA_OFFSET)
+    first = rng.normal(size=3)
+    first *= rng.uniform(*PLANT_FIRST_RULING) / np.linalg.norm(first)
+
+    u = knots
+    opposite = np.empty_like(base)
+    opposite[0] = base[0] + first
+    for i in range(count - 1):
+        opposite[i + 1] = ((u[i + n] - lam) * base[i]
+                           + (lam - u[i]) * base[i + 1]
+                           + (m - u[i + n]) * opposite[i]) / (m - u[i])
+    return scale * knots, base, opposite, scale * lam, scale * m
+
+
+def exact_offset_numerator(knots, control, m):
+    """Sum over i of the product-form weight of vertex i times c_i - c_L,
+    in exact fractions from the float inputs.  Over the denominator
+    prod_{k <= L-2} (m - u_k) it is a(m) - c_L."""
+    F = Fraction
+    u = [F(float(x)) for x in knots]
+    c = [[F(float(x)) for x in p] for p in control]
+    m = F(m)
+    last = len(c) - 1
+    n = len(u) - last
+    # head[i] = prod_{k < i-1} (m - u_k), tail[i] = prod_{j=i}^{L-2} (m - u_{n+j+1})
+    head = [F(1)] * (last + 1)
+    for i in range(2, last + 1):
+        head[i] = head[i - 1] * (m - u[i - 2])
+    tail = [F(1)] * (last + 1)
+    for i in range(last - 2, -1, -1):
+        tail[i] = tail[i + 1] * (m - u[n + i + 1])
+    weights = [tail[0]] + [(u[i + n] - u[i - 1]) * head[i] * tail[i]
+                           for i in range(1, last)]
+    return [sum(weight * (c[i][k] - c[last][k])
+                for i, weight in enumerate(weights)) for k in range(3)]
+
+
+def exact_compatibility_numerator(knots, control, v, w, m):
+    """The compatibility function times its denominator, in exact
+    fractions: the offset numerator dotted with v x w."""
+    F = Fraction
+    v = [F(float(x)) for x in v]
+    w = [F(float(x)) for x in w]
+    normal = (v[1] * w[2] - v[2] * w[1], v[2] * w[0] - v[0] * w[2],
+              v[0] * w[1] - v[1] * w[0])
+    offset = exact_offset_numerator(knots, control, m)
+    return sum(offset[k] * normal[k] for k in range(3))

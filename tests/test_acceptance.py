@@ -32,7 +32,8 @@ from devstrip import (
 )
 
 import reference as ref
-from helpers import assert_point_close, assert_polygon_close
+from helpers import (assert_point_close, assert_polygon_close,
+                     quartic_real_roots)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -97,8 +98,8 @@ def test_03_two_piece_solve_from_end_rulings(cubic_curve):
     """Quartic, roots, constants, and polygon of the anchored solve; <100 ms."""
     sol = solve_problem1(cubic_curve, ref.CUBIC_V, ref.CUBIC_W,
                          d0=ref.CUBIC_D0)
-    assert sol.polynomial.coef == pytest.approx(
-        list(reversed(ref.CUBIC_QUARTIC)), abs=1e-9)
+    assert sol.m_star_roots == pytest.approx(
+        quartic_real_roots(ref.CUBIC_QUARTIC), abs=1e-9)
     assert sol.m_star_roots == pytest.approx(ref.CUBIC_ROOTS, abs=0.01)
     assert sol.sigma == pytest.approx(1.0, abs=1e-12)
     assert sol.chosen_root == pytest.approx(ref.CUBIC_ROOTS[0], abs=0.01)
@@ -140,9 +141,8 @@ def test_05_triangular_patch_with_apex(cubic_curve):
     sol = solve_problem3(cubic_curve, ref.TRI_DL, ref.TRI_APEX_VELOCITY,
                          root_choice=ref.TRI_ROOT_INDEX)
     inner = sol.problem2.problem1
-    lead = ref.TRI_QUARTIC[0]
-    assert inner.polynomial.coef == pytest.approx(
-        [c / lead for c in reversed(ref.TRI_QUARTIC)], abs=1e-9)
+    assert inner.m_star_roots == pytest.approx(
+        quartic_real_roots(ref.TRI_QUARTIC), abs=1e-9)
     assert inner.m_star_roots == pytest.approx(ref.TRI_ROOTS, abs=0.01)
 
     # the pinned root index is the one reproducing the printed polygons,

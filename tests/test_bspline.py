@@ -30,6 +30,16 @@ class TestKnotVector:
         with pytest.raises(ValueError, match="multiplicity"):
             KnotVector([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0], 2)
 
+    def test_multiplicity_counts_chained_near_knots(self):
+        # each gap is within the tolerance 1e-12 (domain length 1), the
+        # chain as a whole is not
+        with pytest.raises(ValueError, match="multiplicity 3"):
+            KnotVector([0.0, 0.0, 0.5, 0.5 + 6e-13, 0.5 + 1.2e-12, 1.0, 1.0], 2)
+        knots = KnotVector([0.0, 0.0, 0.5, 0.5 + 6e-13, 1.0, 1.0], 2)
+        values = knots.inner_values()
+        assert values == (0.0, 0.5, 1.0)
+        assert min(np.diff(values)) > knots.knot_tolerance
+
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             KnotVector([0.0, 1.0, 1.0, 2.0], 3)

@@ -278,3 +278,17 @@ class TestElevate:
     def test_missing_file(self, tmp_path):
         assert run_cli(["elevate", "--curve",
                         str(tmp_path / "nope.json")]) == 1
+
+    def test_chain_of_near_knots_is_one_knot(self, tmp_path, capsys):
+        # neighbours 6e-13 apart, each within the knot tolerance (1e-12 of
+        # the domain), chain into a knot of multiplicity 4 on a cubic
+        inner = [0.5, 0.5 + 6e-13, 0.5 + 1.2e-12, 0.5 + 1.8e-12]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({
+            "degree": 3,
+            "knots": [0.0] * 3 + inner + [1.0] * 3,
+            "control": [[float(i), float(i % 2), 0.0] for i in range(8)]}))
+        assert run_cli(["elevate", "--curve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "multiplicity 4" in err
+        assert "Traceback" not in err

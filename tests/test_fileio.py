@@ -273,7 +273,6 @@ class TestSolveReport:
     def build(self, **overrides):
         values = dict(
             problem_kind="problem1",
-            polynomial_coefficients=(-2.1, 9.3, -12.3, 6.2, 1.0),
             roots=(-7.9, 0.37),
             chosen_m_star=-7.9,
             lambda_star=-6.18,

@@ -1,67 +1,82 @@
-"""Root finder: exact factorizations, multiple roots, random recovery."""
+"""Root finder: exact factorizations, multiple roots, random recovery.
+
+``solvers._real_roots`` finds the real roots of a rational function bounded
+at ±∞, interval by interval between its poles.  The functions here are
+products of linear factors over products of poles, so their roots are known
+exactly.
+"""
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from devstrip import ZeroPolynomialError, real_roots
-from devstrip.polyroots import coefficients
+from devstrip import BSplineCurve, PlanarSurfaceError, solve_problem1
+from devstrip.solvers import _real_roots
 
 import reference as ref
 
 
-def test_accepts_polynomial_and_ascending_sequence():
-    p = Polynomial.fromroots([1.0, 2.0])
-    assert real_roots(p) == pytest.approx([1.0, 2.0], abs=1e-10)
-    assert real_roots(p.coef) == pytest.approx([1.0, 2.0], abs=1e-10)
+def roots_of(numerator, poles, splits=None, radius=0.0, noise=None):
+    """Real roots of numerator(m) / prod(m - p) for p in poles, split at
+    the distinct poles unless `splits` is given.  `noise` perturbs every
+    value by that relative amount, at random."""
+    poles = np.sort(np.asarray(poles, dtype=float))
+    rng = np.random.default_rng(7)
 
+    def evaluate(m):
+        values = numerator(m) / np.prod(m[:, None] - poles, axis=1)
+        if noise is not None:
+            values = values * (1.0 + noise * rng.uniform(-1.0, 1.0, m.shape))
+        return values, np.abs(values)
 
-def test_coefficients_round_trip():
-    assert coefficients(Polynomial([3.0, 0.0, 1.0])).tolist() == [3.0, 0.0, 1.0]
-    assert coefficients([3, 0, 1]).tolist() == [3.0, 0.0, 1.0]
-    with pytest.raises(ValueError):
-        coefficients([])
+    if splits is None:
+        splits = np.unique(poles)
+    return _real_roots(evaluate, poles, splits, radius)
 
 
 def test_simple_cubic_factorization():
-    roots = real_roots(Polynomial.fromroots([1.0, 2.0, 3.0]))
+    roots = roots_of(Polynomial.fromroots([1.0, 2.0, 3.0]), [0.0, 0.0, 4.0])
     assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
 
 def test_no_real_roots():
-    assert real_roots([1.0, 0.0, 1.0]) == []          # x^2 + 1
-    assert real_roots([5.0]) == []                     # nonzero constant
+    assert roots_of(Polynomial([1.0, 0.0, 1.0]), [-1.0, 1.0]) == []
+    assert roots_of(Polynomial([5.0]), [0.0, 1.0]) == []
 
 
 def test_linear_is_exact():
-    assert real_roots([-3.0, 2.0]) == pytest.approx([1.5], abs=0.0)
+    # a root on the outer ray above the last pole
+    roots = roots_of(Polynomial([-3.0, 2.0]), [0.0, 1.0])
+    assert roots == pytest.approx([1.5], abs=0.0)
 
 
 def test_double_root_is_found_once():
-    p = Polynomial.fromroots([2.0, 2.0])
-    assert real_roots(p) == pytest.approx([2.0], abs=1e-7)
+    roots = roots_of(Polynomial.fromroots([2.0, 2.0]), [0.0, 4.0])
+    assert roots == pytest.approx([2.0], abs=1e-7)
 
 
 def test_triple_root():
-    p = Polynomial.fromroots([1.0, 1.0, 1.0])
-    roots = real_roots(p)
+    roots = roots_of(Polynomial.fromroots([1.0, 1.0, 1.0]), [0.0, 0.0, 3.0])
     assert roots == pytest.approx([1.0], abs=1e-5)
 
 
 def test_mixed_multiplicities():
-    p = Polynomial.fromroots([-3.0, 1.0, 1.0])
-    assert real_roots(p) == pytest.approx([-3.0, 1.0], abs=1e-7)
+    roots = roots_of(Polynomial.fromroots([-3.0, 1.0, 1.0]),
+                     [-4.0, 0.0, 2.0])
+    assert roots == pytest.approx([-3.0, 1.0], abs=1e-7)
 
 
 def test_tangential_root_next_to_a_crossing():
     # (x - 1)^2 (x^2 + 1) crosses nowhere but touches at 1
-    p = Polynomial.fromroots([1.0, 1.0]) * Polynomial([1.0, 0.0, 1.0])
-    assert real_roots(p) == pytest.approx([1.0], abs=1e-7)
+    numerator = Polynomial.fromroots([1.0, 1.0]) * Polynomial([1.0, 0.0, 1.0])
+    assert roots_of(numerator, [0.0, 0.0, 3.0, 3.0]) == pytest.approx(
+        [1.0], abs=1e-7)
 
 
 def test_coplanarity_quartic_regression():
-    p = list(reversed(ref.CUBIC_QUARTIC))   # stored descending
-    roots = real_roots(p)
+    curve = BSplineCurve(ref.CUBIC_KNOTS, ref.CUBIC_CONTROL, 3)
+    roots = solve_problem1(curve, ref.CUBIC_V, ref.CUBIC_W,
+                           d0=ref.CUBIC_D0).m_star_roots
     assert len(roots) == 2
     assert roots == pytest.approx([-7.9083, 0.3734], abs=5e-4)
     for x in roots:
@@ -70,41 +85,50 @@ def test_coplanarity_quartic_regression():
 
 
 def test_zero_polynomial_raises():
-    with pytest.raises(ZeroPolynomialError):
-        real_roots([0.0, 0.0, 0.0])
+    # a compatibility function that vanishes identically: planar data
+    flat = BSplineCurve(ref.CUBIC_KNOTS,
+                        [(x, y, 0.0) for x, y, _ in ref.CUBIC_CONTROL], 3)
+    with pytest.raises(PlanarSurfaceError, match="every interior parameter"):
+        solve_problem1(flat, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                       d0=(1.0, 0.0, 0.0))
 
 
 def test_non_finite_coefficients_raise():
+    curve = BSplineCurve(ref.CUBIC_KNOTS, ref.CUBIC_CONTROL, 3)
     with pytest.raises(ValueError, match="finite"):
-        real_roots([1.0, float("nan")])
+        solve_problem1(curve, ref.CUBIC_V, (1.0, float("nan"), 0.0),
+                       d0=ref.CUBIC_D0)
 
 
 def test_scaling_invariance():
     base = Polynomial.fromroots([-1.5, 0.25, 4.0])
-    scaled = 1e8 * base
-    assert real_roots(scaled) == pytest.approx(real_roots(base), abs=1e-10)
+    poles = [-2.0, 0.0, 5.0]
+    assert roots_of(1e8 * base, poles) == pytest.approx(
+        roots_of(base, poles), abs=1e-10)
 
 
 def test_leading_noise_is_trimmed():
-    # a stray tiny quartic term must not spawn a huge spurious root
-    coef = list(Polynomial.fromroots([1.0, 2.0, 3.0]).coef) + [1e-15]
-    assert real_roots(coef) == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
+    # rounding-level noise in every value must not spawn spurious roots
+    roots = roots_of(Polynomial.fromroots([1.0, 2.0, 3.0]), [0.0, 0.0, 4.0],
+                     noise=1e-15)
+    assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
 
 
 def test_nearby_roots_deduplicate():
-    p = Polynomial.fromroots([1.0, 1.0 + 1e-12])
-    assert len(real_roots(p)) == 1
+    roots = roots_of(Polynomial.fromroots([1.0, 1.0 + 1e-12]), [0.0, 3.0])
+    assert len(roots) == 1
 
 
 def test_exclusions_drop_roots_near_banned_values():
-    p = Polynomial.fromroots([0.0, 0.5, 2.0])
-    roots = real_roots(p, exclusions=(0.0, 0.5), exclusion_radius=1e-6)
+    roots = roots_of(Polynomial.fromroots([0.0, 0.5, 2.0]), [3.0, 3.0, 3.0],
+                     splits=[0.0, 0.5, 3.0], radius=1e-6)
     assert roots == pytest.approx([2.0], abs=1e-10)
 
 
 def test_exclusion_radius_zero_keeps_inexact_roots():
-    p = Polynomial.fromroots([0.5, 2.0])
-    assert len(real_roots(p, exclusions=(0.5,), exclusion_radius=0.0)) >= 1
+    roots = roots_of(Polynomial.fromroots([0.5 + 1e-7, 2.0]), [3.0, 3.0],
+                     splits=[0.0, 0.5, 3.0], radius=0.0)
+    assert 0.5 + 1e-7 == pytest.approx(min(roots), abs=1e-12)
 
 
 def test_random_simple_roots_recovered():
@@ -115,5 +139,7 @@ def test_random_simple_roots_recovered():
             roots = np.sort(rng.uniform(-5.0, 5.0, size=count))
             if count == 1 or np.min(np.diff(roots)) > 0.05:
                 break
-        found = real_roots(Polynomial.fromroots(roots))
+        poles = [-6.0] * (count // 2) + [6.0] * (count - count // 2)
+        found = roots_of(Polynomial.fromroots(roots), poles,
+                         splits=[-6.0, 6.0])
         assert found == pytest.approx(list(roots), abs=1e-6)

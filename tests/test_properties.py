@@ -296,11 +296,18 @@ class TestSolverProperties:
         assume(min(np.linalg.norm(v), np.linalg.norm(w)) > 0.3)
         sol = solve_or_discard(solve_problem1, curve, v, w,
                                d0=curve.control[0] + sigma * v)
-        coef = np.asarray(sol.polynomial.coef)
+        # the zero-width start with lambda = u_{L-1} runs the recursion onto
+        # a(M*), which a root puts in the plane of w through c_L, parallel
+        # to v
+        pivot = curve.knots[len(curve.control) - 2]
+        c_last = curve.control[-1]
         for root in sol.m_star_roots:
-            powers = np.abs(root) ** np.arange(coef.size)
-            witness = float(np.abs(coef) @ powers)
-            assert abs(sol.polynomial(root)) <= 1e-8 * max(1.0, witness)
+            a_point = propagate_polygon(curve, curve.control[0], pivot,
+                                        root).control[-1]
+            offset = a_point - c_last
+            residual = abs(np.linalg.det(np.column_stack((offset, v, w))))
+            assert residual <= 1e-8 * max(1.0, np.linalg.norm(offset)) \
+                * np.linalg.norm(v) * np.linalg.norm(w)
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.5, 3.5),

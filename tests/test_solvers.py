@@ -6,9 +6,10 @@ for a(M*), monic quartic coefficients, interpolation conditions) are held
 to tight tolerances.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from numpy.polynomial import Polynomial
 
 from devstrip import (
     AffineScaling,
@@ -20,8 +21,6 @@ from devstrip import (
     PlanarSurfaceError,
     RuledPatch,
     apex_direction,
-    build_a_rational,
-    cramer_polynomial,
     propagate_polygon,
     ruling_coefficients,
     scaled_boundary_blossom,
@@ -29,10 +28,12 @@ from devstrip import (
     solve_problem2,
     solve_problem3,
 )
-from devstrip.solvers import _vertex_weights
+from devstrip.solvers import _ratio_weights
 
 import reference as ref
-from helpers import assert_point_close, assert_polygon_close
+from helpers import (assert_point_close, assert_polygon_close,
+                     exact_compatibility_numerator, exact_offset_numerator,
+                     plant_strip, quartic_real_roots)
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +57,22 @@ def tri_p3(cubic):
                           root_choice=ref.TRI_ROOT_INDEX)
 
 
+def a_point(curve, m):
+    """a(M*) from the ratio-product weights."""
+    return _ratio_weights(curve.knots, len(curve.control), [m])[0] \
+        @ curve.control[:-1]
+
+
+def compatibility(curve, v, w, m):
+    """The compatibility function det(a(m) - c_L, v, w) at an array of m."""
+    ctrl = curve.control
+    deltas = [np.linalg.det(np.column_stack((c - ctrl[-1], v, w)))
+              for c in ctrl[:-1]]
+    return _ratio_weights(curve.knots, len(ctrl), m) @ deltas
+
+
 class TestARational:
-    """a(M*) assembled from exact polynomial arithmetic.
+    """a(M*) in ratio-product form.
 
     Independent oracle: at fixed M the recursion endpoint is affine in
     lambda with slope -(a(M) - c_L)/(M - u_{L-1}), so propagating the
@@ -68,63 +83,91 @@ class TestARational:
     def test_matches_the_recursion_endpoint(self, cubic, m):
         pivot = cubic.knots[len(cubic.control) - 2]
         d = propagate_polygon(cubic, cubic.control[0], pivot, m)
-        assert_point_close(build_a_rational(cubic)(m), d.control[-1], 1e-10)
+        assert_point_close(a_point(cubic, m), d.control[-1], 1e-10)
 
     @pytest.mark.parametrize("m", [-2.0, 0.4, 3.3])
     def test_matches_on_a_single_piece_quadratic(self, quad_curve, m):
         pivot = quad_curve.knots[len(quad_curve.control) - 2]
         d = propagate_polygon(quad_curve, quad_curve.control[0], pivot, m)
-        assert_point_close(build_a_rational(quad_curve)(m),
-                           d.control[-1], 1e-12)
+        assert_point_close(a_point(quad_curve, m), d.control[-1], 1e-12)
 
     def test_weights_sum_to_the_denominator(self, cubic):
-        weights, denominator = _vertex_weights(cubic.knots,
-                                               len(cubic.control))
-        total = sum(weights[1:], weights[0])
-        assert np.max(np.abs((total - denominator).coef)) <= 1e-12
+        # each weight is a polynomial over the common denominator, and the
+        # polynomials sum to it: the ratio-product weights sum to 1
+        m = np.array([-40.0, -2.0, 0.15, 0.5, 0.85, 3.0, 1e6])
+        weights = _ratio_weights(cubic.knots, len(cubic.control), m)
+        assert weights.sum(axis=1) == pytest.approx(np.ones(len(m)),
+                                                    abs=1e-12)
 
     def test_denominator_roots_sit_on_knots(self, cubic):
-        denominator = build_a_rational(cubic).denominator
-        assert denominator(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert denominator(0.3) == pytest.approx(0.0, abs=1e-15)
-        assert abs(denominator(-2.0)) > 0.1
+        # the poles are u_0..u_{L-2} = 0, 0, 0, 0.3; u_4 = 0.7 is none
+        def worst(m):
+            return np.max(np.abs(_ratio_weights(
+                cubic.knots, len(cubic.control), [m])))
+
+        assert worst(1e-9) > 1e6 and worst(0.3 + 1e-9) > 1e6
+        assert worst(0.7 + 1e-9) < 1e3
+        assert worst(-2.0) < 10.0
 
 
 class TestCramerPolynomial:
+    """The compatibility function times its denominator, the product of
+    (m - u_k) over the poles, is the coplanarity (Cramer) polynomial."""
+
+    @staticmethod
+    def numerator(curve, v, w, m):
+        m = np.asarray(m, dtype=float)
+        poles = np.asarray(curve.knots[: len(curve.control) - 2])
+        return compatibility(curve, v, w, m) * np.prod(
+            m[:, None] - poles, axis=1)
+
+    SAMPLES = (-9.0, -2.0, 0.15, 0.5, 0.85, 2.5)
 
     def test_cubic_quartic_is_exact(self, cubic):
-        p = cramer_polynomial(cubic, ref.CUBIC_V, ref.CUBIC_W)
-        expected = list(reversed(ref.CUBIC_QUARTIC))
-        assert p.coef == pytest.approx(expected, abs=1e-12)
+        values = self.numerator(cubic, ref.CUBIC_V, ref.CUBIC_W, self.SAMPLES)
+        ratio = values / np.polyval(ref.CUBIC_QUARTIC, self.SAMPLES)
+        assert ratio == pytest.approx(np.full(len(ratio), ratio[0]),
+                                      rel=1e-12)
 
     def test_apex_quartic_matches_up_to_normalization(self, cubic):
         w = np.asarray(ref.TRI_DL) - cubic.control[-1]
-        p = cramer_polynomial(cubic, ref.TRI_APEX_DIRECTION, w)
-        lead = ref.TRI_QUARTIC[0]
-        expected = [c / lead for c in reversed(ref.TRI_QUARTIC)]
-        assert p.coef == pytest.approx(expected, abs=1e-12)
+        values = self.numerator(cubic, ref.TRI_APEX_DIRECTION, w,
+                                self.SAMPLES)
+        ratio = values / np.polyval(ref.TRI_QUARTIC, self.SAMPLES)
+        assert ratio == pytest.approx(np.full(len(ratio), ratio[0]),
+                                      rel=1e-12)
 
     def test_invariant_under_direction_scaling(self, cubic):
-        p = cramer_polynomial(cubic, ref.CUBIC_V, ref.CUBIC_W)
-        q = cramer_polynomial(cubic, 3.0 * np.asarray(ref.CUBIC_V),
-                              -2.0 * np.asarray(ref.CUBIC_W))
-        assert p.coef == pytest.approx(list(q.coef), abs=1e-12)
+        p = compatibility(cubic, ref.CUBIC_V, ref.CUBIC_W, self.SAMPLES)
+        q = compatibility(cubic, 3.0 * np.asarray(ref.CUBIC_V),
+                          -2.0 * np.asarray(ref.CUBIC_W), self.SAMPLES)
+        assert q == pytest.approx(-6.0 * p, rel=1e-12)
+        scaled = solve_problem1(cubic, 3.0 * np.asarray(ref.CUBIC_V),
+                                -2.0 * np.asarray(ref.CUBIC_W),
+                                d0=ref.CUBIC_D0)
+        assert scaled.m_star_roots == pytest.approx(
+            quartic_real_roots(ref.CUBIC_QUARTIC), abs=1e-9)
 
     def test_planar_data_collapses_to_the_zero_polynomial(self):
         flat = BSplineCurve(
             ref.CUBIC_KNOTS,
             [(x, y, 0.0) for x, y, _ in ref.CUBIC_CONTROL], 3)
-        p = cramer_polynomial(flat, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        assert p.degree() == 0 and p.coef[0] == 0.0
+        values = compatibility(flat, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                               self.SAMPLES)
+        assert np.all(values == 0.0)
+        with pytest.raises(PlanarSurfaceError):
+            solve_problem1(flat, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                           d0=(1.0, 0.0, 0.0))
 
     def test_parallel_directions_mean_a_cylinder(self, cubic):
         with pytest.raises(CylinderCaseError):
-            cramer_polynomial(cubic, ref.CUBIC_V,
-                              2.0 * np.asarray(ref.CUBIC_V))
+            solve_problem1(cubic, ref.CUBIC_V, 2.0 * np.asarray(ref.CUBIC_V),
+                           d0=ref.CUBIC_D0)
 
     def test_zero_direction_rejected(self, cubic):
         with pytest.raises(ValueError, match="nonzero"):
-            cramer_polynomial(cubic, (0.0, 0.0, 0.0), ref.CUBIC_W)
+            solve_problem1(cubic, (0.0, 0.0, 0.0), ref.CUBIC_W,
+                           d0=ref.CUBIC_D0)
 
 
 class TestRulingCoefficients:
@@ -157,8 +200,8 @@ class TestProblem1:
         assert cubic_p1.m_star_roots == pytest.approx(ref.CUBIC_ROOTS,
                                                       abs=0.01)
         assert cubic_p1.chosen_root == cubic_p1.m_star_roots[0]
-        assert cubic_p1.polynomial.coef == pytest.approx(
-            list(reversed(ref.CUBIC_QUARTIC)), abs=1e-12)
+        assert cubic_p1.m_star_roots == pytest.approx(
+            quartic_real_roots(ref.CUBIC_QUARTIC), abs=1e-9)
 
     def test_scales_and_interior_parameters(self, cubic_p1):
         assert cubic_p1.sigma == pytest.approx(1.0, abs=1e-12)
@@ -269,6 +312,62 @@ class TestProblem1:
         with pytest.raises(ValueError, match="out of range"):
             solve_problem1(cubic, ref.CUBIC_V, ref.CUBIC_W,
                            d0=ref.CUBIC_D0, root_choice=2)
+
+
+class TestCompatibilityRoots:
+    """Roots of the compatibility function found interval by interval.
+
+    Planted strips (tests/helpers.plant_strip) admit their m* whatever the
+    piece count and knot scale; the exact-fraction numerator confirms that
+    the function changes sign across the reported root."""
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "pieces"])
+    @pytest.mark.parametrize("pieces", [2, 4, 8, 16, 32, 64])
+    def test_planted_strips_solve_at_their_root(self, pieces, scaled):
+        rng = np.random.default_rng(1000 + pieces)
+        scale = float(pieces) if scaled else 1.0
+        for degree in (2, 3, 4, 5):
+            knots, base, opposite, _, m_star = plant_strip(
+                rng, degree, pieces, scale)
+            curve = BSplineCurve(knots, base, degree)
+            v, w = opposite[0] - base[0], opposite[-1] - base[-1]
+            sol = solve_problem1(curve, v, w, d0=opposite[0])
+            root = min(sol.m_star_roots, key=lambda r: abs(r - m_star))
+            assert root == pytest.approx(
+                m_star, abs=1e-11 * max(scale, abs(m_star)))
+            eps = Fraction(1, 10 ** 8) * Fraction(scale)
+            below = exact_compatibility_numerator(knots, base, v, w,
+                                                  Fraction(root) - eps)
+            above = exact_compatibility_numerator(knots, base, v, w,
+                                                  Fraction(root) + eps)
+            assert below * above < 0, (degree, root)
+
+    @pytest.mark.parametrize("m0", [-1.5, 2.5])
+    def test_tangential_root_is_found_once(self, cubic, m0):
+        # the normal n = A(m0) x A'(m0) of the ruling plane makes the
+        # numerator A(m).n touch zero at m0 without crossing
+        m, h = Fraction(m0), Fraction(1, 10 ** 6)
+        offset = exact_offset_numerator(cubic.knots, cubic.control, m)
+        ahead = exact_offset_numerator(cubic.knots, cubic.control, m + h)
+        behind = exact_offset_numerator(cubic.knots, cubic.control, m - h)
+        slope = [(p - q) / (2 * h) for p, q in zip(ahead, behind)]
+        normal = np.cross([float(x) for x in offset],
+                          [float(x) for x in slope])
+        v = np.cross(normal, (1.0, 0.0, 0.0))
+        w = np.cross(normal, v)
+        sol = solve_problem1(cubic, v, w, d0=cubic.control[0] + v)
+        near = [r for r in sol.m_star_roots if abs(r - m0) < 0.1]
+        assert near == pytest.approx([m0], abs=1e-9)
+
+    def test_planar_data_raises_at_many_pieces(self):
+        # a 24-piece curve in a tilted plane, rulings in the same plane
+        rng = np.random.default_rng(5)
+        knots, base, _, _, _ = plant_strip(rng, 3, 24)
+        tilt = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        flat = BSplineCurve(knots, base[:, :2] @ tilt, 3)
+        v, w = tilt[0] + 0.5 * tilt[1], tilt[1] - 0.2 * tilt[0]
+        with pytest.raises(PlanarSurfaceError):
+            solve_problem1(flat, v, w, d0=flat.control[0] + v)
 
 
 class TestProblem2:
