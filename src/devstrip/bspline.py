@@ -336,6 +336,17 @@ class BSplineCurve:
         of `args` (k, n), as (k, 3) points; rows may mix spans."""
         return np.ascontiguousarray(self._de_boor(spans, args, self.degree)[-1].T)
 
+    def _dropped_blossoms(self, spans: np.ndarray, args: np.ndarray) -> np.ndarray:
+        """Polar forms at every row of `args` (k, m) with one argument
+        dropped, as (m, k, 3): slice j drops argument j.  All m·k windows go
+        through one kernel call; spans (k,) name each row's piece."""
+        m = args.shape[1]
+        # row j of keep lists the argument indices other than j, ascending
+        slot = np.arange(m - 1)
+        keep = slot + (slot >= np.arange(m)[:, None])
+        windows = args[:, keep].transpose(1, 0, 2).reshape(-1, m - 1)
+        return self._blossoms(np.tile(spans, m), windows).reshape(m, len(args), 3)
+
     def _point_and_velocity(self, spans: np.ndarray, us: np.ndarray):
         """Points c(u) and one-sided velocities c'(u) at the (k,) parameters
         `us` on knot spans `spans`, each as (k, 3), from one de Boor triangle.
@@ -386,10 +397,10 @@ class BSplineCurve:
         n = self.degree
 
         def form(args, u_ref):
-            spans = self._knots._spans_for(u_ref)
+            parts = self._dropped_blossoms(self._knots._spans_for(u_ref), args)
             total = np.zeros((len(args), 3))
-            for k in range(n + 1):
-                total += self._blossoms(spans, np.delete(args, k, axis=1))
+            for part in parts:
+                total += part
             return total / (n + 1)
 
         return _batched_form(n + 1, form)

@@ -433,15 +433,17 @@ def scaled_boundary_blossom(base: BSplineCurve, opposite: BSplineCurve,
     if base.knots != opposite.knots:
         raise ValueError("curves must share one knot list")
     n = base.degree
-    base_form, opposite_form = base.polar_form(), opposite.polar_form()
 
     def form(args: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
+        spans = base.knots._spans_for(u_ref)
+        opp = opposite._dropped_blossoms(spans, args)
+        own = base._dropped_blossoms(spans, args)
+        f = scaling(args)
         total = np.zeros((len(args), 3))
-        for k in range(n + 1):
-            rest = np.delete(args, k, axis=1)
-            f_k = scaling(args[:, k])[:, None]
-            total += f_k * opposite_form(rest, u_ref)
-            total += (1.0 - f_k) * base_form(rest, u_ref)
+        for j in range(n + 1):
+            f_j = f[:, j, None]
+            total += f_j * opp[j]
+            total += (1.0 - f_j) * own[j]
         return total / (n + 1)
 
     return _batched_form(n + 1, form)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bspline import BSplineCurve, as_point3
+from .bspline import BSplineCurve, as_point3, _row_norms
 
 # Strips are rejected when the control relation defect exceeds this.
 CONTROL_RELATION_TOL = 1e-9
@@ -129,25 +129,26 @@ def propagate_polygon(
     u = c.knots
     n = c.degree
     control = c.control
-    count = len(control)
+    cells = len(control) - 1
     a, b = c.domain
     guard = POLE_GUARD_REL * (b - a)
     lam = float(lambda_star)
     m = float(m_star)
-    for i in range(count - 1):
-        if abs(m - u[i]) <= guard:
-            raise ValueError(
-                f"m_star = {m} is within the pole guard of knot {i} = {u[i]}"
-            )
+    lo, hi = u._array[:cells], u._array[n : n + cells]
+    near = np.flatnonzero(np.abs(m - lo) <= guard)
+    if near.size:
+        i = int(near[0])
+        raise ValueError(
+            f"m_star = {m} is within the pole guard of knot {i} = {u[i]}"
+        )
+    # the c-terms of every cell's numerator, then the recursion through d
+    fixed = (hi - lam)[:, None] * control[:-1] + (lam - lo)[:, None] * control[1:]
+    carry = (m - hi).tolist()
+    divide = (m - lo).tolist()
     d = np.empty_like(control)
     d[0] = as_point3(d0)
-    for i in range(count - 1):
-        numerator = (
-            (u[i + n] - lam) * control[i]
-            + (lam - u[i]) * control[i + 1]
-            + (m - u[i + n]) * d[i]
-        )
-        d[i + 1] = numerator / (m - u[i])
+    for i in range(cells):
+        d[i + 1] = (fixed[i] + carry[i] * d[i]) / divide[i]
     return BSplineCurve(u, d)
 
 
@@ -161,10 +162,10 @@ def control_relation_residuals(
     """
     if base.knots != opposite.knots:
         raise ValueError("boundary curves must share one knot vector")
-    u = base.knots
     n = base.degree
     c = base.control
     d = opposite.control
+    cells = len(c) - 1
     lam = float(lambda_star)
     m = float(m_star)
     scale = max(
@@ -173,15 +174,14 @@ def control_relation_residuals(
         float(np.max(np.linalg.norm(d, axis=1))),
     )
     floor = 1e-12 * scale
-    residuals = np.empty(len(c) - 1)
-    for i in range(len(c) - 1):
-        terms = (
-            (u[i + n] - lam) * c[i],
-            (lam - u[i]) * c[i + 1],
-            -(u[i + n] - m) * d[i],
-            -(m - u[i]) * d[i + 1],
-        )
-        defect = np.linalg.norm(terms[0] + terms[1] + terms[2] + terms[3])
-        denom = max(max(np.linalg.norm(t) for t in terms), floor)
-        residuals[i] = defect / denom
-    return residuals
+    lo = base.knots._array[:cells, None]
+    hi = base.knots._array[n : n + cells, None]
+    terms = (
+        (hi - lam) * c[:-1],
+        (lam - lo) * c[1:],
+        -(hi - m) * d[:-1],
+        -(m - lo) * d[1:],
+    )
+    defect = _row_norms(terms[0] + terms[1] + terms[2] + terms[3])
+    denom = np.maximum(np.maximum.reduce([_row_norms(t) for t in terms]), floor)
+    return defect / denom

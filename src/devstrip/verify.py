@@ -101,6 +101,17 @@ def curves_pointwise_equal(p: BSplineCurve, q: BSplineCurve,
     return float(np.max(gaps, initial=0.0, where=gaps > 0.0))
 
 
+def _cell_planarity(ci, cj, di, dj) -> np.ndarray:
+    """Planarity residuals of the cells (ci, cj, di, dj), each a (k, 3)
+    array of one corner per cell, as a (k,) array."""
+    e1, e2, e3 = cj - ci, di - ci, dj - ci
+    det = np.linalg.det(np.stack((e1, e2, e3), axis=-1))
+    corners = np.maximum.reduce([_row_norms(p) for p in (ci, cj, di, dj)])
+    floor = 1e-12 * np.maximum(1.0, corners)
+    n1, n2, n3 = (np.maximum(_row_norms(e), floor) for e in (e1, e2, e3))
+    return np.abs(det) / (n1 * n2 * n3)
+
+
 def cell_planarity_residual(cell) -> float:
     """Dimensionless coplanarity defect of one net cell.
 
@@ -109,22 +120,12 @@ def cell_planarity_residual(cell) -> float:
     of the three argument norms (each floored at 1e-12 of the cell scale);
     zero exactly when the four points are coplanar.
     """
-    ci, cj, di, dj = (as_point3(p) for p in cell)
-    e1 = cj - ci
-    e2 = di - ci
-    e3 = dj - ci
-    det = float(np.linalg.det(np.column_stack((e1, e2, e3))))
-    scale = max(1.0, max(np.linalg.norm(p) for p in (ci, cj, di, dj)))
-    floor = 1e-12 * scale
-    denom = 1.0
-    for e in (e1, e2, e3):
-        denom *= max(float(np.linalg.norm(e)), floor)
-    return abs(det) / denom
+    ci, cj, di, dj = (as_point3(p)[None, :] for p in cell)
+    return float(_cell_planarity(ci, cj, di, dj)[0])
 
 
 def planarity_report(strip: RuledPatch) -> list[float]:
     """Planarity residual of every control net cell, in order."""
     c = strip.base.control
     d = strip.opposite.control
-    return [cell_planarity_residual((c[i], c[i + 1], d[i], d[i + 1]))
-            for i in range(len(c) - 1)]
+    return _cell_planarity(c[:-1], c[1:], d[:-1], d[1:]).tolist()

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from devstrip import BSplineCurve
+from devstrip.bspline import as_point3
+from devstrip.strip import POLE_GUARD_REL
 from devstrip.verify import (COLLAPSED_RULING_REL, KNOT_SAMPLE_OFFSET_REL,
                              NORM_FLOOR_REL, DevelopabilityScan)
 
@@ -39,9 +42,10 @@ def quartic_real_roots(descending):
 
 
 # ---------------------------------------------------------------------------
-# Scalar loop references.  The batched evaluator runs the same floating-point
-# operations in the same order as these one-point-at-a-time loops, so tests
-# compare the two with ==, not with a tolerance.
+# Scalar loop references.  The batched evaluator and the batched cell checks
+# run the same floating-point operations in the same order as these
+# one-point-at-a-time loops, so tests compare the two with ==, not with a
+# tolerance.
 
 
 def loop_blossom_on_span(curve, span, values):
@@ -118,6 +122,75 @@ def loop_developability_scan(patch, samples_per_piece=100):
                 worst = residual
                 arg = float(u)
     return DevelopabilityScan(worst, arg, taken, skipped)
+
+
+def loop_propagate_polygon(c, d0, lambda_star, m_star):
+    """propagate_polygon with the pole guard and the recursion cell by cell."""
+    u = c.knots
+    n = c.degree
+    control = c.control
+    count = len(control)
+    a, b = c.domain
+    guard = POLE_GUARD_REL * (b - a)
+    lam = float(lambda_star)
+    m = float(m_star)
+    for i in range(count - 1):
+        if abs(m - u[i]) <= guard:
+            raise ValueError(
+                f"m_star = {m} is within the pole guard of knot {i} = {u[i]}")
+    d = np.empty_like(control)
+    d[0] = as_point3(d0)
+    for i in range(count - 1):
+        numerator = ((u[i + n] - lam) * control[i]
+                     + (lam - u[i]) * control[i + 1]
+                     + (m - u[i + n]) * d[i])
+        d[i + 1] = numerator / (m - u[i])
+    return BSplineCurve(u, d)
+
+
+def loop_control_relation_residuals(base, opposite, lambda_star, m_star):
+    """control_relation_residuals with four norms per cell."""
+    u = base.knots
+    n = base.degree
+    c = base.control
+    d = opposite.control
+    lam = float(lambda_star)
+    m = float(m_star)
+    scale = max(1.0, float(np.max(np.linalg.norm(c, axis=1))),
+                float(np.max(np.linalg.norm(d, axis=1))))
+    floor = 1e-12 * scale
+    residuals = np.empty(len(c) - 1)
+    for i in range(len(c) - 1):
+        terms = ((u[i + n] - lam) * c[i],
+                 (lam - u[i]) * c[i + 1],
+                 -(u[i + n] - m) * d[i],
+                 -(m - u[i]) * d[i + 1])
+        defect = np.linalg.norm(terms[0] + terms[1] + terms[2] + terms[3])
+        denom = max(max(np.linalg.norm(t) for t in terms), floor)
+        residuals[i] = defect / denom
+    return residuals
+
+
+def loop_cell_planarity_residual(cell):
+    """cell_planarity_residual of one cell from 3x3 determinants and norms."""
+    ci, cj, di, dj = (np.asarray(p, dtype=float) for p in cell)
+    e1 = cj - ci
+    e2 = di - ci
+    e3 = dj - ci
+    det = float(np.linalg.det(np.column_stack((e1, e2, e3))))
+    scale = max(1.0, max(np.linalg.norm(p) for p in (ci, cj, di, dj)))
+    floor = 1e-12 * scale
+    denom = 1.0
+    for e in (e1, e2, e3):
+        denom *= max(float(np.linalg.norm(e)), floor)
+    return abs(det) / denom
+
+
+def loop_planarity_report(patch):
+    c = patch.base.control
+    d = patch.opposite.control
+    return [loop_cell_planarity_residual((c[i], c[i + 1], d[i], d[i + 1]))
+            for i in range(len(c) - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from devstrip import BSplineCurve, KnotVector, control_from_blossom
+from devstrip import (AffineScaling, BSplineCurve, KnotVector,
+                      control_from_blossom, scaled_boundary_blossom)
 from devstrip.bspline import as_point3
 
 import reference as ref
@@ -272,3 +273,36 @@ class TestControlFromBlossom:
         rebuilt = control_from_blossom(quad_curve.elevated_polar_form(),
                                        quad_curve.knots.elevated())
         assert_polygon_close(rebuilt, ref.QUAD_TILDE_C, 1e-12)
+
+
+class TestKernelCalls:
+    """A form call sends every dropped-argument window of a curve through
+    one de Boor kernel call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        kernel = BSplineCurve._de_boor
+
+        def wrapped(curve, *args):
+            counted.append(curve)
+            return kernel(curve, *args)
+
+        monkeypatch.setattr(BSplineCurve, "_de_boor", wrapped)
+        return counted
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_one_call_per_curve_and_form_call(self, calls, degree):
+        rng = np.random.default_rng(degree)
+        knots = [0.0] * degree + [0.3, 0.5, 0.8] + [1.0] * degree
+        base, opposite = (BSplineCurve(knots, rng.uniform(-1.0, 1.0, (
+            len(knots) - degree + 1, 3)), degree) for _ in range(2))
+        args = rng.uniform(-0.5, 1.5, (7, degree + 1))
+        u_refs = np.linspace(0.0, 1.0, 7)
+
+        base.elevated_polar_form()(args, u_refs)
+        assert calls == [base]
+        calls.clear()
+        scaled_boundary_blossom(base, opposite, AffineScaling(0.7, -0.2))(
+            args, u_refs)
+        assert sorted(map(id, calls)) == sorted(map(id, (base, opposite)))

@@ -23,6 +23,7 @@ import reference as ref
 from helpers import assert_polygon_close
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fixture_doc(name: str) -> dict:
@@ -274,6 +275,15 @@ class TestElevate:
         assert doc["degree"] == 4
         assert doc["knots"] == pytest.approx(list(raised.knots))
         assert_polygon_close(doc["control"], raised.control, 1e-12)
+
+    @pytest.mark.parametrize("name", ["spline3", "spline4", "splinet"])
+    def test_fixture_curves_match_the_golden_output(self, tmp_path, capsys,
+                                                    name):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(fixture_doc(f"{name}.json")["curve"]))
+        assert run_cli(["elevate", "--curve", str(path)]) == 0
+        golden = GOLDEN / "elevate" / f"{name}.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_missing_file(self, tmp_path):
         assert run_cli(["elevate", "--curve",

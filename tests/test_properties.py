@@ -19,9 +19,11 @@ from devstrip import (
     DevelopableStrip,
     InfeasibleProblemError,
     RuledPatch,
+    cell_planarity_residual,
     control_relation_residuals,
     curves_pointwise_equal,
     developability_scan,
+    planarity_report,
     propagate_polygon,
     scaled_boundary_blossom,
     solve_problem1,
@@ -30,7 +32,9 @@ from devstrip import (
 
 import reference as ref
 from helpers import (assert_point_close, loop_blossom_on_span,
-                     loop_derivative_at, loop_evaluate, loop_span_for)
+                     loop_control_relation_residuals, loop_derivative_at,
+                     loop_evaluate, loop_planarity_report,
+                     loop_propagate_polygon, loop_span_for)
 
 coordinates = st.floats(-10.0, 10.0, allow_nan=False, width=64)
 points = st.tuples(coordinates, coordinates, coordinates)
@@ -125,7 +129,8 @@ class TestBlossomAlgebra:
 
 
 class TestBatchedEvaluator:
-    """The batched de Boor kernel equals the scalar loop bit for bit."""
+    """The batched de Boor kernel and the batched cell checks equal the
+    scalar loops bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(curve_pairs_on_any_knots(), st.data())
@@ -168,6 +173,33 @@ class TestBatchedEvaluator:
                 mixed += (1.0 - f_k) * loop_blossom_on_span(base, j, rest)
             assert np.array_equal(elevated, total / (n + 1))
             assert np.array_equal(blend, mixed / (n + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve_pairs_on_any_knots(), st.floats(-8.0, 8.0), st.data())
+    def test_cell_checks_match_the_loop(self, pair, lam, data):
+        base, opposite = pair
+        # m* anywhere, or on a knot, inside the pole guard
+        m = data.draw(st.floats(-8.0, 8.0) | st.sampled_from(list(base.knots)))
+        assert np.array_equal(
+            control_relation_residuals(base, opposite, lam, m),
+            loop_control_relation_residuals(base, opposite, lam, m))
+
+        patch = RuledPatch(base, opposite)
+        report = planarity_report(patch)
+        assert report == loop_planarity_report(patch)
+        c, d = base.control, opposite.control
+        assert [cell_planarity_residual((c[i], c[i + 1], d[i], d[i + 1]))
+                for i in range(len(c) - 1)] == report
+
+        try:
+            want = loop_propagate_polygon(base, d[0], lam, m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                propagate_polygon(base, d[0], lam, m)
+            assert str(raised.value) == str(exc)
+        else:
+            got = propagate_polygon(base, d[0], lam, m)
+            assert np.array_equal(got.control, want.control)
 
     @settings(max_examples=60, deadline=None)
     @given(curve_pairs_on_any_knots(),
