@@ -11,7 +11,7 @@ apex velocity), and verifies results by independent sampling.
 
 __version__ = "0.1.0"
 
-from .bspline import BSplineCurve, KnotVector, control_from_blossom
+from .bspline import BSplineCurve, KnotVector
 from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
                      InfeasibleProblemError, PlanarSurfaceError)
 from .fileio import (ProblemSpec, SolveReport, export_obj, parse_curve,
@@ -19,9 +19,8 @@ from .fileio import (ProblemSpec, SolveReport, export_obj, parse_curve,
                      serialize_problem, serialize_solution)
 from .solvers import (AffineScaling, Problem1Solution, Problem2Solution,
                       Problem3Solution, Solved, apex_direction,
-                      ruling_coefficients, scaled_boundary_blossom,
-                      solve_problem1, solve_problem2, solve_problem3,
-                      solve_spec)
+                      ruling_coefficients, solve_problem1, solve_problem2,
+                      solve_problem3, solve_spec)
 from .strip import (DevelopableStrip, RuledPatch, control_relation_residuals,
                     propagate_polygon)
 from .verify import (DevelopabilityScan, cell_planarity_residual,
@@ -31,12 +30,12 @@ from .cli import main, run_cli
 
 __all__ = [
     "__version__",
-    "BSplineCurve", "KnotVector", "control_from_blossom",
+    "BSplineCurve", "KnotVector",
     "RuledPatch", "DevelopableStrip", "propagate_polygon",
     "control_relation_residuals",
     "AffineScaling",
     "Problem1Solution", "Problem2Solution", "Problem3Solution", "Solved",
-    "ruling_coefficients", "scaled_boundary_blossom",
+    "ruling_coefficients",
     "solve_problem1", "solve_problem2", "solve_problem3", "apex_direction",
     "solve_spec",
     "DevelopabilityScan", "developability_scan",

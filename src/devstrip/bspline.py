@@ -16,17 +16,12 @@ and knot vectors never mutate, and all operations return new objects.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # Knots closer than this fraction of the domain length are one knot.
 KNOT_EQ_REL = 1e-12
-
-# A point-valued multiaffine form, form(args, u_ref): (k, m) arguments and
-# (k,) parameters, each naming the piece its row is evaluated on, give (k, 3)
-# points; one argument sequence with a scalar u_ref gives one (3,) point.
-BlossomForm = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
 
 
 def as_point3(value) -> np.ndarray:
@@ -379,85 +374,49 @@ class BSplineCurve:
         velocity = self._point_and_velocity(self._knots._spans_for(us), us.reshape(-1))[1]
         return velocity if us.ndim else velocity[0]
 
-    # -- polar forms for re-expressing the curve over other knot lists ----
-
-    def polar_form(self) -> BlossomForm:
-        """The curve's own blossom as a batched (args, u_ref) form."""
-        def form(args, u_ref):
-            return self._blossoms(self._knots._spans_for(u_ref), args)
-
-        return _batched_form(self.degree, form)
-
-    def elevated_polar_form(self) -> BlossomForm:
-        """Blossom of the same point set viewed as a degree n+1 curve.
-
-        The (n+1)-ary form is the symmetrised average of the n-ary one
-        over all ways of dropping one argument.
-        """
-        n = self.degree
-
-        def form(args, u_ref):
-            parts = self._dropped_blossoms(self._knots._spans_for(u_ref), args)
-            total = np.zeros((len(args), 3))
-            for part in parts:
-                total += part
-            return total / (n + 1)
-
-        return _batched_form(n + 1, form)
-
     # -- refinement ---------------------------------------------------------
 
     def insert_knot(self, u_new: float) -> "BSplineCurve":
         """Same point set with one more knot and one more control point."""
         new_knots = self._knots.insert(u_new)
-        return BSplineCurve(new_knots, control_from_blossom(self.polar_form(), new_knots))
+        return BSplineCurve(new_knots,
+                            self._blossoms(*_windows(new_knots, self._knots)))
 
     def elevate_degree(self) -> "BSplineCurve":
         """Same point set as a curve of degree n+1.
 
         Every distinct inner knot value gains one copy in the knot list.
+        The (n+1)-ary blossom is the average of the n-ary one over the n+1
+        ways of dropping one argument.
         """
         new_knots = self._knots.elevated()
-        return BSplineCurve(
-            new_knots, control_from_blossom(self.elevated_polar_form(), new_knots)
-        )
+        spans, args = _windows(new_knots, self._knots)
+        total = np.zeros((len(args), 3))
+        for part in self._dropped_blossoms(spans, args):
+            total += part
+        return BSplineCurve(new_knots, total / (self.degree + 1))
 
 
-def _batched_form(arity: int, form: BlossomForm) -> BlossomForm:
-    """Check the arity of a form written for (k, arity) windows and (k,)
-    parameters, and let it also take one argument sequence with a scalar
-    parameter, returning one point."""
+def _windows(target: KnotVector,
+             source: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Knot windows of `target`, one row per control point, and the span of
+    `source` each is evaluated on, as (spans (k,), windows (k, m)).
 
-    def call(args, u_ref):
-        args = np.asarray(args, dtype=float)
-        if args.shape[-1] != arity:
-            raise ValueError(f"form takes {arity} arguments, got {args.shape[-1]}")
-        if args.ndim == 1:
-            return form(args[None, :], np.array([float(u_ref)]))[0]
-        return form(args, np.broadcast_to(np.asarray(u_ref, dtype=float),
-                                          (len(args),)))
-
-    return call
-
-
-def control_from_blossom(form: BlossomForm, knots: KnotVector) -> np.ndarray:
-    """Control polygon of the curve whose blossom is `form` over `knots`.
-
-    Vertex i is the form at the knot window u_i..u_{i+m-1} (m the degree
-    of `knots`), evaluated on a nondegenerate span J with i-1 <= J <= i+m-1
-    so that the window is valid for that piece's polar form.  Any valid
-    candidate gives the same value; the middle one is used.  All windows
-    go to the form in one call.
+    Row i is u_i..u_{i+m-1} (m the degree of `target`).  It is valid for the
+    polar form of any nondegenerate target span J with i-1 <= J <= i+m-1, and
+    any valid candidate gives the same value; the middle one is taken, and
+    the window is evaluated on the source piece containing that span's
+    midpoint.  `target` must refine `source`.
     """
-    m = knots.degree
-    rows = np.arange(knots.control_count)
-    spans = knots._spans
+    m = target.degree
+    rows = np.arange(target.control_count)
+    spans = target._spans
     first = np.searchsorted(spans, rows - 1, side="left")
     count = np.searchsorted(spans, rows + m - 1, side="right") - first
     if not np.all(count):
         i = int(np.argmin(count))
         raise RuntimeError(f"no valid piece for knot window {i} (malformed knots)")
     j = spans[first + count // 2]
-    kn = knots._array
-    u_ref = 0.5 * (kn[j] + kn[j + 1])
-    return as_points(form(kn[rows[:, None] + np.arange(m)], u_ref))
+    kn = target._array
+    return (source._spans_for(0.5 * (kn[j] + kn[j + 1])),
+            kn[rows[:, None] + np.arange(m)])

@@ -24,8 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
-from .bspline import (BlossomForm, BSplineCurve, KnotVector, as_point3,
-                      _batched_form, control_from_blossom)
+from .bspline import BSplineCurve, KnotVector, _windows, as_point3
 from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
                      InfeasibleProblemError, PlanarSurfaceError)
 from .fileio import ProblemSpec
@@ -423,39 +422,30 @@ class AffineScaling:
         return cls(slope, fa - slope * a)
 
 
-def scaled_boundary_blossom(base: BSplineCurve, opposite: BSplineCurve,
-                            scaling: AffineScaling) -> BlossomForm:
-    """Blossom of the curve (1−f(u))·base(u) + f(u)·opposite(u).
-
-    The product raises degree by one; symmetrizing over which argument
-    feeds f keeps the form multiaffine, so it is directly consumable by
-    control_from_blossom over the once-elevated knot list."""
-    if base.knots != opposite.knots:
-        raise ValueError("curves must share one knot list")
-    n = base.degree
-
-    def form(args: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
-        spans = base.knots._spans_for(u_ref)
-        opp = opposite._dropped_blossoms(spans, args)
-        own = base._dropped_blossoms(spans, args)
-        f = scaling(args)
-        total = np.zeros((len(args), 3))
-        for j in range(n + 1):
-            f_j = f[:, j, None]
-            total += f_j * opp[j]
-            total += (1.0 - f_j) * own[j]
-        return total / (n + 1)
-
-    return _batched_form(n + 1, form)
-
-
 def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve,
                    scaling: AffineScaling) -> tuple[BSplineCurve, BSplineCurve]:
-    elevated = base.elevate_degree()
-    form = scaled_boundary_blossom(base, opposite, scaling)
-    moved = BSplineCurve(elevated.knots,
-                         control_from_blossom(form, elevated.knots))
-    return elevated, moved
+    """Base and the moved curve (1−f(u))·base(u) + f(u)·opposite(u), both
+    at degree n+1 over the once-elevated knot list.
+
+    The product raises the degree by one; its blossom averages, over which
+    argument feeds f, the blend of the two n-ary blossoms at the other
+    arguments.  Those dropped-argument blossoms of the base are the ones its
+    plain degree raise averages, so one kernel call per curve serves both."""
+    n = base.degree
+    knots = base.knots.elevated()
+    spans, args = _windows(knots, base.knots)
+    opp = opposite._dropped_blossoms(spans, args)
+    own = base._dropped_blossoms(spans, args)
+    f = scaling(args)
+    elevated = np.zeros((len(args), 3))
+    moved = np.zeros((len(args), 3))
+    for j in range(n + 1):
+        elevated += own[j]
+        f_j = f[:, j, None]
+        moved += f_j * opp[j]
+        moved += (1.0 - f_j) * own[j]
+    return (BSplineCurve(knots, elevated / (n + 1)),
+            BSplineCurve(knots, moved / (n + 1)))
 
 
 class Problem2Solution(NamedTuple):

@@ -75,6 +75,18 @@ def loop_span_for(knots, u):
     return spans[max(bisect.bisect_right(starts, u) - 1, 0)]
 
 
+def loop_window_span(target, source, i):
+    """Span of `source` on which knot window i of `target` is evaluated:
+    the middle nondegenerate target span J with i-1 <= J <= i+m-1 (m the
+    target degree), located in `source` by its midpoint."""
+    m = target.degree
+    valid = [j for j in range(m - 1, len(target) - m)
+             if target[j + 1] - target[j] > target.knot_tolerance
+             and i - 1 <= j <= i + m - 1]
+    j = valid[len(valid) // 2]
+    return loop_span_for(source, 0.5 * (target[j] + target[j + 1]))
+
+
 def loop_evaluate(curve, u):
     span = loop_span_for(curve.knots, u)
     return loop_blossom_on_span(curve, span, [float(u)] * curve.degree)

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from devstrip import (AffineScaling, BSplineCurve, KnotVector,
-                      control_from_blossom, scaled_boundary_blossom)
-from devstrip.bspline import as_point3
+from devstrip import AffineScaling, BSplineCurve, KnotVector
+from devstrip.bspline import _windows, as_point3
+from devstrip.solvers import _rescaled_pair
 
 import reference as ref
 from helpers import assert_point_close, assert_polygon_close
@@ -262,22 +262,17 @@ class TestElevateDegree:
             assert_point_close(up2.evaluate(u), quad_curve.evaluate(u), 1e-12)
 
 
-class TestControlFromBlossom:
+class TestReexpression:
 
-    def test_roundtrip_own_polar_form(self, cubic_curve):
-        rebuilt = control_from_blossom(cubic_curve.polar_form(),
-                                       cubic_curve.knots)
+    def test_roundtrip_over_own_knots(self, cubic_curve):
+        knots = cubic_curve.knots
+        rebuilt = cubic_curve._blossoms(*_windows(knots, knots))
         assert_polygon_close(rebuilt, cubic_curve.control, 1e-12)
-
-    def test_elevated_form_over_elevated_knots(self, quad_curve):
-        rebuilt = control_from_blossom(quad_curve.elevated_polar_form(),
-                                       quad_curve.knots.elevated())
-        assert_polygon_close(rebuilt, ref.QUAD_TILDE_C, 1e-12)
 
 
 class TestKernelCalls:
-    """A form call sends every dropped-argument window of a curve through
-    one de Boor kernel call."""
+    """Re-expressing a curve sends all its knot windows, or all their
+    dropped-argument windows, through one de Boor kernel call per curve."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -297,12 +292,12 @@ class TestKernelCalls:
         knots = [0.0] * degree + [0.3, 0.5, 0.8] + [1.0] * degree
         base, opposite = (BSplineCurve(knots, rng.uniform(-1.0, 1.0, (
             len(knots) - degree + 1, 3)), degree) for _ in range(2))
-        args = rng.uniform(-0.5, 1.5, (7, degree + 1))
-        u_refs = np.linspace(0.0, 1.0, 7)
 
-        base.elevated_polar_form()(args, u_refs)
+        base.elevate_degree()
         assert calls == [base]
         calls.clear()
-        scaled_boundary_blossom(base, opposite, AffineScaling(0.7, -0.2))(
-            args, u_refs)
+        base.insert_knot(0.4)
+        assert calls == [base]
+        calls.clear()
+        _rescaled_pair(base, opposite, AffineScaling(0.7, -0.2))
         assert sorted(map(id, calls)) == sorted(map(id, (base, opposite)))

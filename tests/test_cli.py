@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import devstrip
 from devstrip import (
     BSplineCurve,
     DevelopableStrip,
@@ -36,7 +37,28 @@ def write_problem(tmp_path: Path, doc: dict) -> Path:
     return path
 
 
+PUBLIC_NAMES = [
+    "AffineScaling", "BSplineCurve", "ConeCaseError", "CylinderCaseError",
+    "DegenerateCaseError", "DevelopabilityScan", "DevelopableStrip",
+    "InfeasibleProblemError", "KnotVector", "PlanarSurfaceError",
+    "Problem1Solution", "Problem2Solution", "Problem3Solution",
+    "ProblemSpec", "RuledPatch", "SolveReport", "Solved", "__version__",
+    "apex_direction", "cell_planarity_residual",
+    "control_relation_residuals", "curves_pointwise_equal",
+    "developability_scan", "export_obj", "main", "parse_curve",
+    "parse_problem", "parse_solution", "planarity_report",
+    "propagate_polygon", "ruling_coefficients", "run_cli",
+    "serialize_curve", "serialize_problem", "serialize_solution",
+    "solve_problem1", "solve_problem2", "solve_problem3", "solve_spec",
+]
+
+
 class TestTopLevel:
+
+    def test_public_names_are_pinned(self):
+        # the public surface changes only on purpose
+        assert sorted(devstrip.__all__) == PUBLIC_NAMES
+        assert all(hasattr(devstrip, name) for name in PUBLIC_NAMES)
 
     def test_version_banner(self, capsys):
         assert run_cli(["--version"]) == 0

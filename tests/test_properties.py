@@ -25,16 +25,16 @@ from devstrip import (
     developability_scan,
     planarity_report,
     propagate_polygon,
-    scaled_boundary_blossom,
     solve_problem1,
     solve_problem2,
 )
+from devstrip.solvers import _rescaled_pair
 
 import reference as ref
 from helpers import (assert_point_close, loop_blossom_on_span,
                      loop_control_relation_residuals, loop_derivative_at,
                      loop_evaluate, loop_planarity_report,
-                     loop_propagate_polygon, loop_span_for)
+                     loop_propagate_polygon, loop_span_for, loop_window_span)
 
 coordinates = st.floats(-10.0, 10.0, allow_nan=False, width=64)
 points = st.tuples(coordinates, coordinates, coordinates)
@@ -149,30 +149,60 @@ class TestBatchedEvaluator:
         args = rng.uniform(a - width, b + width, (k, n + 1))
         spans = [loop_span_for(knots, u) for u in u_refs]
 
-        got = base.polar_form()(args[:, :n], np.array(u_refs))
+        got = base._blossoms(np.array(spans), args[:, :n])
         want = [loop_blossom_on_span(base, j, row[:n])
                 for j, row in zip(spans, args)]
         assert np.array_equal(got, want)
         piece = knots.piece_for(u_refs[0])
         assert np.array_equal(base.blossom_eval(piece, args[0, :n]), want[0])
-        assert np.array_equal(base.polar_form()(args[0, :n], u_refs[0]),
-                              want[0])
 
-        got = base.elevated_polar_form()(args, np.array(u_refs))
+        dropped = base._dropped_blossoms(np.array(spans), args)
+        for drop in range(n + 1):
+            rest = np.delete(args, drop, axis=1)
+            assert np.array_equal(dropped[drop], [
+                loop_blossom_on_span(base, j, row)
+                for j, row in zip(spans, rest)])
+
+        # elevation and rescale, each vertex against the loop sums at its
+        # elevated knot window
         scaling = AffineScaling(0.7, -0.2)
-        scaled = scaled_boundary_blossom(base, opposite, scaling)(
-            args, np.array(u_refs))
-        for j, row, elevated, blend in zip(spans, args, got, scaled):
+        elevated = base.elevate_degree()
+        same, blended = _rescaled_pair(base, opposite, scaling)
+        up = elevated.knots
+        assert same.knots == blended.knots == up
+        for i in range(up.control_count):
+            j = loop_window_span(up, knots, i)
+            row = up[i:i + n + 1]
             total = np.zeros(3)
             mixed = np.zeros(3)
             for drop in range(n + 1):
-                rest = list(row[:drop]) + list(row[drop + 1:])
+                rest = row[:drop] + row[drop + 1:]
                 total += loop_blossom_on_span(base, j, rest)
                 f_k = scaling(row[drop])
                 mixed += f_k * loop_blossom_on_span(opposite, j, rest)
                 mixed += (1.0 - f_k) * loop_blossom_on_span(base, j, rest)
-            assert np.array_equal(elevated, total / (n + 1))
-            assert np.array_equal(blend, mixed / (n + 1))
+            assert np.array_equal(elevated.control[i], total / (n + 1))
+            assert np.array_equal(same.control[i], total / (n + 1))
+            assert np.array_equal(blended.control[i], mixed / (n + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve_pairs_on_any_knots(), st.data())
+    def test_insert_knot_matches_the_loop(self, pair, data):
+        base = pair[0]
+        knots = base.knots
+        a, b = base.domain
+        # inside the domain, or onto a knot
+        u = data.draw(st.floats(0.01, 0.99).map(lambda t: a + t * (b - a))
+                      | st.sampled_from(knots.inner_values()))
+        try:
+            refined = base.insert_knot(u)
+        except ValueError:
+            assume(False)
+        new = refined.knots
+        for i in range(new.control_count):
+            j = loop_window_span(new, knots, i)
+            want = loop_blossom_on_span(base, j, new[i:i + base.degree])
+            assert np.array_equal(refined.control[i], want)
 
     @settings(max_examples=60, deadline=None)
     @given(curve_pairs_on_any_knots(), st.floats(-8.0, 8.0), st.data())
@@ -376,8 +406,6 @@ class TestSolverProperties:
 
         inner = sol.problem1.strip
         f = sol.scaling
-        form = scaled_boundary_blossom(curve, inner.opposite, f)
-        u = t
-        value = form((u,) * (curve.degree + 1), u)
-        blend = inner.ruled_eval(u, f(u))
+        value = sol.elevated_d.evaluate(t)
+        blend = inner.ruled_eval(t, f(t))
         assert_point_close(value, blend, 1e-9 * scale_of(curve))

@@ -23,7 +23,6 @@ from devstrip import (
     apex_direction,
     propagate_polygon,
     ruling_coefficients,
-    scaled_boundary_blossom,
     solve_problem1,
     solve_problem2,
     solve_problem3,
@@ -400,19 +399,11 @@ class TestProblem2:
                                                        abs=0.01)
         assert corner_p2.pinch_u is None
 
-    def test_scaled_blossom_spot_value(self, corner_p2, cubic):
-        inner = corner_p2.problem1
-        form = scaled_boundary_blossom(cubic, inner.strip.opposite,
-                                       corner_p2.scaling)
-        value = form(ref.CORNER_SCALED_BLOSSOM_ARGS, 0.15)
-        assert_point_close(value, ref.CORNER_SCALED_BLOSSOM_VALUE, 0.01)
-
-    def test_scaled_blossom_arity_checked(self, corner_p2, cubic):
-        form = scaled_boundary_blossom(
-            cubic, corner_p2.problem1.strip.opposite,
-            corner_p2.scaling)
-        with pytest.raises(ValueError, match="arguments"):
-            form((0.0, 0.0, 0.3), 0.15)
+    def test_scaled_blossom_spot_value(self, corner_p2):
+        knots = corner_p2.elevated_d.knots
+        assert tuple(knots[1:5]) == ref.CORNER_SCALED_BLOSSOM_ARGS
+        assert_point_close(corner_p2.elevated_d.control[1],
+                           ref.CORNER_SCALED_BLOSSOM_VALUE, 0.01)
 
     def test_surface_is_the_rescaled_inner_strip(self, corner_p2, cubic):
         # b2(u, t) = b1(u, t * f(u)): same surface traded between
