@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebroots
+from numpy.polynomial.chebyshev import chebder, chebroots, chebvander
 
 from .bspline import BSplineCurve, KnotVector, _windows, as_point3
 from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
@@ -66,6 +66,51 @@ CHEB_IMAG_TOL = 1e-5
 # polishes a root moves it by at most this much.  On an outer ray, a root
 # this close to x = 1 is the point at infinity.
 CHEB_MERGE_TOL = 1e-5
+# Before any eigenvalue solve, each converged interpolant is cut into this
+# many equal sub-intervals of the window |x| <= 1 + CHEB_IMAG_TOL, where
+# colleague-matrix roots are kept.  A root of a sub-interval that holds
+# exactly one starts from the sign change on a grid of this many cells and
+# takes this many Newton steps on the interpolant.
+CHEB_SPLIT = 8
+CHEB_CELLS = 8
+CHEB_NEWTON_STEPS = 3
+
+
+def _interpolation_basis(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev points of ``size`` samples, and the matrix that
+    takes the samples there to the interpolant's coefficients, zero-padded
+    to the largest size."""
+    theta = np.pi * (np.arange(size) + 0.5) / size
+    basis = np.zeros((size, CHEB_SIZES[-1]))
+    basis[:, :size] = np.cos(np.outer(theta, np.arange(size))) * (2.0 / size)
+    basis[:, 0] *= 0.5
+    return np.cos(theta), basis
+
+
+_BASES = {size: _interpolation_basis(size) for size in CHEB_SIZES}
+
+
+def _split_tables() -> tuple[np.ndarray, ...]:
+    """For a series of the largest size: the matrix to its CHEB_SPLIT
+    sub-interval series in y ∈ [-1, 1] (size × CHEB_SPLIT·size) and the
+    matrix to its derivative series.  Then the values of a sub-interval
+    series on its cell grid, and the sub-interval centres and half-width
+    in x."""
+    size = CHEB_SIZES[-1]
+    nodes, basis = _BASES[size]
+    window = 1.0 + CHEB_IMAG_TOL
+    half = window / CHEB_SPLIT
+    centres = window * np.arange(1 - CHEB_SPLIT, CHEB_SPLIT, 2) / CHEB_SPLIT
+    points = (centres[:, None] + half * nodes).ravel()
+    split = chebvander(points, size - 1).T.reshape(size, CHEB_SPLIT, size) \
+        @ basis
+    derivative = np.zeros((size, size))
+    derivative[:, :-1] = chebder(np.eye(size), axis=0).T
+    cells = chebvander(np.linspace(-1.0, 1.0, CHEB_CELLS + 1), size - 1).T
+    return split.reshape(size, -1), derivative, cells, centres, half
+
+
+_SPLIT, _DERIVATIVE, _CELLS, _CENTRES, _HALF = _split_tables()
 
 
 def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -110,8 +155,9 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     m = a − s(1+x)/(1−x), with s the geometric mean of the first interval
     and the whole span, and its function is multiplied by ((m−a)/(m−b))^mult
     at a; the ray above b is its mirror.  Each piece gets an adaptive
-    Chebyshev interpolant; its simple roots get one Newton step.
-    Roots within ``exclusion_radius`` of a split are dropped."""
+    Chebyshev interpolant, whose roots ``_interpolant_roots`` finds for all
+    pieces at once; each simple root then gets one Newton step on the
+    function.  Roots within ``exclusion_radius`` of a split are dropped."""
     splits = np.asarray(splits, dtype=float)
     a, b = splits[0], splits[-1]
     gaps = np.diff(splits)
@@ -151,27 +197,27 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
         return (values.reshape(m.shape) * factor,
                 sizes.reshape(m.shape) * np.abs(factor))
 
-    found = []  # (interval, x) per root of an interpolant
+    # converged interpolants (zero-padded to the largest size) with their
+    # interval, centre, half-width and tolerance
+    converged = []
     piece = np.arange(s + 1)
     lo, hi = -np.ones(s + 1), np.ones(s + 1)
     for halvings in range(CHEB_MAX_HALVINGS + 1):
         for size in CHEB_SIZES:
-            theta = np.pi * (np.arange(size) + 0.5) / size
+            nodes, basis = _BASES[size]
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             values, sizes = sample(piece[:, None],
-                                   mid[:, None] + half[:, None] * np.cos(theta))
-            basis = np.cos(np.outer(theta, np.arange(size))) * (2.0 / size)
-            basis[:, 0] *= 0.5
+                                   mid[:, None] + half[:, None] * nodes)
             coef = values @ basis
             tol = CHEB_TAIL_REL * np.max(sizes, axis=1)
             # a piece with non-finite samples has no roots to find
-            done = (np.max(np.abs(coef[:, -(size // 4):]), axis=1) <= tol) \
+            done = (np.max(np.abs(coef[:, size - size // 4 : size]), axis=1)
+                    <= tol) \
                 | ~np.all(np.isfinite(coef), axis=1)
             if halvings == CHEB_MAX_HALVINGS and size == CHEB_SIZES[-1]:
                 done[:] = True
-            for i in np.flatnonzero(done):
-                found += [(piece[i], mid[i] + half[i] * t)
-                          for t in _chebyshev_real_roots(coef[i], tol[i])]
+            converged.append((piece[done], mid[done], half[done], coef[done],
+                              tol[done]))
             piece, lo, hi = piece[~done], lo[~done], hi[~done]
             if not piece.size:
                 break
@@ -181,10 +227,14 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
         piece = np.repeat(piece, 2)
         lo, hi = np.ravel((lo, mid), order="F"), np.ravel((mid, hi), order="F")
 
-    if not found:
+    piece, mid, half, coef, tol = (np.concatenate(column)
+                                   for column in zip(*converged))
+    row, t = _interpolant_roots(coef, tol)
+    if not row.size:
         return []
-    found.sort()
-    piece, x = (np.array(column) for column in zip(*found))
+    piece, x = piece[row], mid[row] + half[row] * t
+    order = np.lexsort((x, piece))
+    piece, x = piece[order], x[order]
     # one root per cluster at its mean x; a lone eigenvalue is a simple
     # root, polished by a Newton step whose slope is a central difference
     # over half the merge tolerance (at a multiple root that slope is noise)
@@ -204,6 +254,74 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
                                               1.0 - CHEB_MERGE_TOL, 1.0)))
     keep = np.all(np.abs(m[:, None] - splits) > exclusion_radius, axis=1)
     return sorted(float(r) for r in m[keep])
+
+
+def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of the Chebyshev series in the rows of ``coef`` (the
+    largest size, zero-padded), as the row and x of each root: the roots
+    ``_chebyshev_real_roots`` reports, mostly without an eigenvalue solve.
+
+    A series with a root to look for is cut into CHEB_SPLIT sub-intervals.
+    A sub-interval is settled when its own series has a constant term
+    that exceeds the sum of the other terms' sizes by more than ``tol``
+    (no root), or its derivative series has one (monotone) and its end
+    values clear ``tol`` (one root if their signs differ, none if not).
+    A near-double root or close pair, a root on or near an edge and a
+    flat stretch fail both tests; a series with any sub-interval left
+    unsettled goes whole to ``_chebyshev_real_roots``."""
+    size = coef.shape[1]
+    big = np.abs(coef) > tol[:, None]
+    # the series that _chebyshev_real_roots would send to chebroots
+    rows = np.flatnonzero(np.all(np.isfinite(coef), axis=1)
+                          & np.any(big[:, 1:], axis=1)
+                          & (np.abs(coef[:, 0])
+                             <= np.sum(np.abs(coef[:, 1:]), axis=1)))
+    # the series as chebroots gets them, cut to the longest among them
+    top = size - np.argmax(big[rows, ::-1], axis=1)
+    terms = np.arange(top.max(initial=1))
+    c = np.where(terms < top[:, None], coef[rows, : len(terms)], 0.0)
+    t = tol[rows, None]
+
+    # each sub-interval's series and derivative series, and how far their
+    # constant terms exceed the sum of the other terms' sizes
+    sub = (c @ _SPLIT[: len(terms)]).reshape(len(rows), CHEB_SPLIT, size)
+    sizes = np.abs(np.stack((sub, sub @ _DERIVATIVE), axis=1))
+    margin = 2.0 * sizes[..., 0] - np.sum(sizes, axis=-1)
+    values = sub @ _CELLS
+    ends = values[..., [0, -1]]
+    free = margin[:, 0] > t
+    monotone = (margin[:, 1] > t) & np.all(np.abs(ends) > t[..., None],
+                                           axis=-1)
+    settled = np.all(free | monotone, axis=1)
+    crossing = monotone & settled[:, None] & (
+        (ends[..., 0] < 0) != (ends[..., 1] < 0))
+
+    # each root starts from linear interpolation in the cell where the
+    # values change sign and stays in that cell; its Newton steps run on
+    # the series itself, whose roots chebroots would report
+    r, k = np.nonzero(crossing)
+    negative = values[r, k] < 0
+    cell = np.argmax(negative[:, 1:] != negative[:, :-1], axis=1)
+    below = values[r, k, cell]
+    width = 2.0 / CHEB_CELLS
+    start = -1.0 + width * cell
+    share = below / (below - values[r, k, cell + 1])
+    lo, x, hi = (_CENTRES[k] + _HALF * y
+                 for y in (start, start + width * share, start + width))
+    pair = np.stack((c[r], c[r] @ _DERIVATIVE[: len(terms), : len(terms)]),
+                    axis=1)
+    for _ in range(CHEB_NEWTON_STEPS):
+        # T_k(x) = cos(k·arccos x), also for the |x| > 1 the window allows
+        basis = np.cos(np.arccos(x + 0j)[:, None] * terms).real
+        value, slope = (pair @ basis[:, :, None])[..., 0].T
+        x = np.clip(x - value / slope, lo, hi)
+
+    rest = rows[~settled]
+    fallback = [_chebyshev_real_roots(coef[i], tol[i]) for i in rest]
+    return (np.concatenate([rows[r]] + [np.full(len(roots), i)
+                                        for i, roots in zip(rest, fallback)]),
+            np.concatenate([x] + fallback))
 
 
 def _chebyshev_real_roots(coef: np.ndarray, tol: float) -> np.ndarray:

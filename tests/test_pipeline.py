@@ -4,15 +4,16 @@ import importlib.util
 import itertools
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from devstrip import (parse_problem, run_cli, serialize_problem,
-                      serialize_solution, solve_spec)
+                      serialize_solution, solve_spec, solvers)
 
-from helpers import assert_polygon_close
+from helpers import assert_polygon_close, exact_compatibility_numerator
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -95,6 +96,42 @@ class TestGoldenOutputs:
         for output in SOLVE_OUTPUTS:
             assert (tmp_path / output).read_bytes() == \
                 (golden / output).read_bytes(), output
+
+
+class TestFixtureRoots:
+    """Every root a fixture solve reports lies within 16 ulps of the sign
+    change of the exact-fraction compatibility numerator."""
+
+    ULPS = 16
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_roots_sit_at_the_exact_sign_change(self, monkeypatch, name):
+        rulings = []
+        solve = solvers.solve_problem1
+
+        def recorded(curve, v, w, **anchor):
+            rulings.append((curve, v, w))
+            return solve(curve, v, w, **anchor)
+
+        monkeypatch.setattr(solvers, "solve_problem1", recorded)
+        solved = solve_spec(parse_problem((FIXTURES / name).read_text()))
+        (curve, v, w), = rulings
+
+        def positive(m):
+            return exact_compatibility_numerator(
+                curve.knots, curve.control, v, w, Fraction(m)) > 0
+
+        for root in solved.problem1.m_star_roots:
+            side = positive(root)
+            up = down = root
+            for _ in range(self.ULPS):
+                up = np.nextafter(up, np.inf)
+                down = np.nextafter(down, -np.inf)
+                if positive(up) != side or positive(down) != side:
+                    break
+            else:
+                pytest.fail(f"no sign change within {self.ULPS} ulps "
+                            f"of {root!r}")
 
 
 class TestScripts:

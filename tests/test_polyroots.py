@@ -8,10 +8,16 @@ exactly.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
+from numpy.polynomial.chebyshev import chebfromroots, chebmul
 
 from devstrip import BSplineCurve, PlanarSurfaceError, solve_problem1
-from devstrip.solvers import _real_roots
+from devstrip import solvers
+from devstrip.solvers import (CHEB_SIZES, CHEB_TAIL_REL, _CENTRES, _HALF,
+                              _chebyshev_real_roots, _interpolant_roots,
+                              _real_roots)
 
 import reference as ref
 
@@ -143,3 +149,103 @@ def test_random_simple_roots_recovered():
         found = roots_of(Polynomial.fromroots(roots), poles,
                          splits=[-6.0, 6.0])
         assert found == pytest.approx(list(roots), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the certified pass over an interpolant's sub-intervals, with its fallback
+
+# the ends of the sub-intervals the certification cuts x into
+EDGES = np.append(_CENTRES - _HALF, _CENTRES[-1] + _HALF)
+
+
+def series_of(roots, scale=1.0, pair=None):
+    """Chebyshev coefficients of scale * prod(x - r), times the factor with
+    the complex roots p ± iq when pair = (p, q) is given."""
+    coef = scale * chebfromroots(roots)
+    if pair is not None:
+        p, q = pair
+        coef = chebmul(coef, chebfromroots([complex(p, q),
+                                             complex(p, -q)]).real)
+    return coef
+
+
+def certified_roots(coef, tol):
+    padded = np.pad(coef, (0, CHEB_SIZES[-1] - len(coef)))
+    return np.sort(_interpolant_roots(padded[None], np.array([tol]))[1])
+
+
+def at_tolerance():
+    """A series whose end value at x = 1 + CHEB_IMAG_TOL, on the
+    sub-interval that holds its root 0.9, is exactly the tolerance: the
+    value the certification computes there, by the same operations."""
+    coef = series_of([0.9, -2.0])
+    padded = np.pad(coef, (0, CHEB_SIZES[-1] - len(coef)))[None]
+    sub = (padded @ solvers._SPLIT).reshape(1, solvers.CHEB_SPLIT, -1)
+    return coef, float(abs((sub @ solvers._CELLS)[0, -1, -1]))
+
+
+DOUBLE_ON_EDGE = series_of([EDGES[3], EDGES[3], 0.6])
+DOUBLE_ON_EDGE_TOL = CHEB_TAIL_REL * float(np.sum(np.abs(DOUBLE_ON_EDGE)))
+END_AT_TOL, END_AT_TOL_TOL = at_tolerance()
+PINNED = [(DOUBLE_ON_EDGE, DOUBLE_ON_EDGE_TOL), (END_AT_TOL, END_AT_TOL_TOL)]
+# a simple root beyond x = 1 that chebroots keeps: the sub-intervals span
+# |x| <= 1 + CHEB_IMAG_TOL, so the certified pass finds it too
+JUST_OUTSIDE = (series_of([1.0 + 5e-6, -0.6]), CHEB_TAIL_REL)
+
+
+@st.composite
+def planted_series(draw):
+    """A series with simple roots inside distinct sub-intervals and at
+    random, a double root, a close pair, roots on sub-interval edges and a
+    complex pair, each possibly absent, and the tolerance of an interpolant
+    of its size."""
+    inside = st.floats(-1.0, 1.0)
+    roots = [_CENTRES[k] + _HALF * y for k, y in draw(st.lists(
+        st.tuples(st.integers(0, len(_CENTRES) - 1), st.floats(-0.9, 0.9)),
+        max_size=4, unique_by=lambda drawn: drawn[0]))]
+    roots += draw(st.lists(inside, max_size=2))
+    roots += 2 * draw(st.lists(inside, max_size=1))
+    for centre, gap in draw(st.lists(st.tuples(
+            st.floats(-0.99, 0.99), st.floats(1e-7, 1e-2)), max_size=1)):
+        roots += [centre - 0.5 * gap, centre + 0.5 * gap]
+    roots += draw(st.lists(st.sampled_from(list(EDGES)), max_size=2))
+    pair = draw(st.none() | st.tuples(st.floats(-1.5, 1.5),
+                                      st.floats(1e-3, 1.0)))
+    coef = series_of(roots, draw(st.floats(1e-6, 1e6)), pair)
+    return coef, CHEB_TAIL_REL * float(np.sum(np.abs(coef)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_series())
+@example(PINNED[0])
+@example(PINNED[1])
+@example(JUST_OUTSIDE)
+def test_certified_roots_agree_with_chebroots(series):
+    coef, tol = series
+    expected = np.sort(_chebyshev_real_roots(coef, tol))
+    found = certified_roots(coef, tol)
+    assert len(found) == len(expected)
+    assert found == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("series", PINNED,
+                         ids=["double_root_on_an_edge", "end_value_at_tol"])
+def test_pinned_series_go_through_the_fallback(monkeypatch, series):
+    calls = []
+    solve = solvers.chebroots
+
+    def wrapped(coef):
+        calls.append(len(coef))
+        return solve(coef)
+
+    monkeypatch.setattr(solvers, "chebroots", wrapped)
+    certified_roots(*series)
+    assert len(calls) == 1
+
+
+def test_separated_roots_are_certified_without_eigenvalues(monkeypatch):
+    # T_4: one root in every other sub-interval, extrema of size 1
+    monkeypatch.setattr(solvers, "chebroots", None)
+    roots = np.cos((2 * np.arange(4) + 1) * np.pi / 8)
+    assert certified_roots(np.eye(5)[4], CHEB_TAIL_REL) == pytest.approx(
+        np.sort(roots), abs=1e-15)

@@ -27,6 +27,7 @@ from devstrip import (
     solve_problem2,
     solve_problem3,
 )
+from devstrip import solvers
 from devstrip.solvers import _ratio_weights
 
 import reference as ref
@@ -313,6 +314,33 @@ class TestProblem1:
                            d0=ref.CUBIC_D0, root_choice=2)
 
 
+def planted_strips(pieces, scaled):
+    """The seeded planted strips at one piece count, degrees 2-5, on [0, 1]
+    or on [0, pieces]: (scale, knots, base, curve, v, w, d0, m*) each."""
+    rng = np.random.default_rng(1000 + pieces)
+    scale = float(pieces) if scaled else 1.0
+    for degree in (2, 3, 4, 5):
+        knots, base, opposite, _, m_star = plant_strip(
+            rng, degree, pieces, scale)
+        yield (scale, knots, base, BSplineCurve(knots, base, degree),
+               opposite[0] - base[0], opposite[-1] - base[-1], opposite[0],
+               m_star)
+
+
+def tangential_rulings(curve, m0):
+    """Rulings v, w whose compatibility numerator touches zero at m0
+    without crossing: both are normal to n = A(m0) x A'(m0), the normal of
+    the ruling plane."""
+    m, h = Fraction(m0), Fraction(1, 10 ** 6)
+    offset = exact_offset_numerator(curve.knots, curve.control, m)
+    ahead = exact_offset_numerator(curve.knots, curve.control, m + h)
+    behind = exact_offset_numerator(curve.knots, curve.control, m - h)
+    slope = [(p - q) / (2 * h) for p, q in zip(ahead, behind)]
+    normal = np.cross([float(x) for x in offset], [float(x) for x in slope])
+    v = np.cross(normal, (1.0, 0.0, 0.0))
+    return v, np.cross(normal, v)
+
+
 class TestCompatibilityRoots:
     """Roots of the compatibility function found interval by interval.
 
@@ -323,14 +351,9 @@ class TestCompatibilityRoots:
     @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "pieces"])
     @pytest.mark.parametrize("pieces", [2, 4, 8, 16, 32, 64])
     def test_planted_strips_solve_at_their_root(self, pieces, scaled):
-        rng = np.random.default_rng(1000 + pieces)
-        scale = float(pieces) if scaled else 1.0
-        for degree in (2, 3, 4, 5):
-            knots, base, opposite, _, m_star = plant_strip(
-                rng, degree, pieces, scale)
-            curve = BSplineCurve(knots, base, degree)
-            v, w = opposite[0] - base[0], opposite[-1] - base[-1]
-            sol = solve_problem1(curve, v, w, d0=opposite[0])
+        for scale, knots, base, curve, v, w, d0, m_star in planted_strips(
+                pieces, scaled):
+            sol = solve_problem1(curve, v, w, d0=d0)
             root = min(sol.m_star_roots, key=lambda r: abs(r - m_star))
             assert root == pytest.approx(
                 m_star, abs=1e-11 * max(scale, abs(m_star)))
@@ -339,21 +362,11 @@ class TestCompatibilityRoots:
                                                   Fraction(root) - eps)
             above = exact_compatibility_numerator(knots, base, v, w,
                                                   Fraction(root) + eps)
-            assert below * above < 0, (degree, root)
+            assert below * above < 0, (curve.degree, root)
 
     @pytest.mark.parametrize("m0", [-1.5, 2.5])
     def test_tangential_root_is_found_once(self, cubic, m0):
-        # the normal n = A(m0) x A'(m0) of the ruling plane makes the
-        # numerator A(m).n touch zero at m0 without crossing
-        m, h = Fraction(m0), Fraction(1, 10 ** 6)
-        offset = exact_offset_numerator(cubic.knots, cubic.control, m)
-        ahead = exact_offset_numerator(cubic.knots, cubic.control, m + h)
-        behind = exact_offset_numerator(cubic.knots, cubic.control, m - h)
-        slope = [(p - q) / (2 * h) for p, q in zip(ahead, behind)]
-        normal = np.cross([float(x) for x in offset],
-                          [float(x) for x in slope])
-        v = np.cross(normal, (1.0, 0.0, 0.0))
-        w = np.cross(normal, v)
+        v, w = tangential_rulings(cubic, m0)
         sol = solve_problem1(cubic, v, w, d0=cubic.control[0] + v)
         near = [r for r in sol.m_star_roots if abs(r - m0) < 0.1]
         assert near == pytest.approx([m0], abs=1e-9)
@@ -367,6 +380,37 @@ class TestCompatibilityRoots:
         v, w = tilt[0] + 0.5 * tilt[1], tilt[1] - 0.2 * tilt[0]
         with pytest.raises(PlanarSurfaceError):
             solve_problem1(flat, v, w, d0=flat.control[0] + v)
+
+
+class TestEigenvalueCalls:
+    """A colleague-matrix eigenvalue solve (chebroots) runs only for an
+    interpolant whose sub-intervals the coefficient tests cannot settle."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        solve = solvers.chebroots
+
+        def wrapped(coef):
+            counted.append(len(coef))
+            return solve(coef)
+
+        monkeypatch.setattr(solvers, "chebroots", wrapped)
+        return counted
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "pieces"])
+    @pytest.mark.parametrize("pieces", [16, 64])
+    def test_planted_strips_make_at_most_two(self, calls, pieces, scaled):
+        for _, _, _, curve, v, w, d0, _ in planted_strips(pieces, scaled):
+            calls.clear()
+            solve_problem1(curve, v, w, d0=d0)
+            assert len(calls) <= 2, (curve.degree, calls)
+
+    @pytest.mark.parametrize("m0", [-1.5, 2.5])
+    def test_tangential_root_still_reaches_chebroots(self, calls, cubic, m0):
+        v, w = tangential_rulings(cubic, m0)
+        solve_problem1(cubic, v, w, d0=cubic.control[0] + v)
+        assert calls
 
 
 class TestProblem2:
