@@ -70,10 +70,12 @@ CHEB_MERGE_TOL = 1e-5
 # many equal sub-intervals of the window |x| <= 1 + CHEB_IMAG_TOL, where
 # colleague-matrix roots are kept.  A root of a sub-interval that holds
 # exactly one starts from the sign change on a grid of this many cells and
-# takes this many Newton steps on the interpolant.
+# takes this many Newton steps on the interpolant; it is kept only if the
+# interpolant changes sign within CHEB_ROOT_TOL of where the steps end.
 CHEB_SPLIT = 8
 CHEB_CELLS = 8
 CHEB_NEWTON_STEPS = 3
+CHEB_ROOT_TOL = 1e-10
 
 
 def _interpolation_basis(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +270,10 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
     (no root), or its derivative series has one (monotone) and its end
     values clear ``tol`` (one root if their signs differ, none if not).
     A near-double root or close pair, a root on or near an edge and a
-    flat stretch fail both tests; a series with any sub-interval left
-    unsettled goes whole to ``_chebyshev_real_roots``."""
+    flat stretch fail both tests.  A root's Newton steps must end within
+    CHEB_ROOT_TOL of a sign change, or its sub-interval is unsettled too;
+    a series with any sub-interval left unsettled goes whole to
+    ``_chebyshev_real_roots``."""
     size = coef.shape[1]
     big = np.abs(coef) > tol[:, None]
     # the series that _chebyshev_real_roots would send to chebroots
@@ -311,11 +315,23 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
                  for y in (start, start + width * share, start + width))
     pair = np.stack((c[r], c[r] @ _DERIVATIVE[: len(terms), : len(terms)]),
                     axis=1)
-    for _ in range(CHEB_NEWTON_STEPS):
+
+    def at(points, series):
         # T_k(x) = cos(k·arccos x), also for the |x| > 1 the window allows
-        basis = np.cos(np.arccos(x + 0j)[:, None] * terms).real
-        value, slope = (pair @ basis[:, :, None])[..., 0].T
+        basis = np.cos(np.arccos(points + 0j)[..., None] * terms).real
+        return series @ basis.swapaxes(1, 2)
+
+    for _ in range(CHEB_NEWTON_STEPS):
+        value, slope = at(x[:, None], pair)[..., 0].T
         x = np.clip(x - value / slope, lo, hi)
+    # the steps need not have converged (a vertex just past the window can
+    # throw them off), so the sign change is checked
+    probe = np.clip(x[:, None] + (-CHEB_ROOT_TOL, CHEB_ROOT_TOL),
+                    lo[:, None], hi[:, None])
+    near = at(probe, c[r][:, None])[:, 0]
+    settled[r[np.sign(near[:, 0]) * np.sign(near[:, 1]) > 0]] = False
+    x = x[settled[r]]
+    r = r[settled[r]]
 
     rest = rows[~settled]
     fallback = [_chebyshev_real_roots(coef[i], tol[i]) for i in rest]

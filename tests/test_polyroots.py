@@ -191,24 +191,33 @@ PINNED = [(DOUBLE_ON_EDGE, DOUBLE_ON_EDGE_TOL), (END_AT_TOL, END_AT_TOL_TOL)]
 # a simple root beyond x = 1 that chebroots keeps: the sub-intervals span
 # |x| <= 1 + CHEB_IMAG_TOL, so the certified pass finds it too
 JUST_OUTSIDE = (series_of([1.0 + 5e-6, -0.6]), CHEB_TAIL_REL)
+# a close pair straddling the window's end: the Newton steps of the root
+# inside start near the vertex between the two and do not converge
+ASTRAY = series_of([0.99876, 1.00127])
+ASTRAY_TOL = CHEB_TAIL_REL * float(np.sum(np.abs(ASTRAY)))
 
 
 @st.composite
 def planted_series(draw):
     """A series with simple roots inside distinct sub-intervals and at
-    random, a double root, a close pair, roots on sub-interval edges and a
-    complex pair, each possibly absent, and the tolerance of an interpolant
-    of its size."""
+    random, a double root, a close pair, roots on sub-interval edges, roots
+    just beyond the window the sub-intervals span and a complex pair, each
+    possibly absent, and the tolerance of an interpolant of its size."""
     inside = st.floats(-1.0, 1.0)
     roots = [_CENTRES[k] + _HALF * y for k, y in draw(st.lists(
         st.tuples(st.integers(0, len(_CENTRES) - 1), st.floats(-0.9, 0.9)),
         max_size=4, unique_by=lambda drawn: drawn[0]))]
     roots += draw(st.lists(inside, max_size=2))
     roots += 2 * draw(st.lists(inside, max_size=1))
-    for centre, gap in draw(st.lists(st.tuples(
-            st.floats(-0.99, 0.99), st.floats(1e-7, 1e-2)), max_size=1)):
-        roots += [centre - 0.5 * gap, centre + 0.5 * gap]
+    # a close pair inside, or straddling an end of the window
+    for centre, gap, shift in draw(st.lists(st.tuples(
+            st.floats(-0.99, 0.99) | st.sampled_from([EDGES[0], EDGES[-1]]),
+            st.floats(1e-7, 1e-2), st.floats(-0.5, 0.5)), max_size=1)):
+        roots += [centre + (shift - 0.5) * gap, centre + (shift + 0.5) * gap]
     roots += draw(st.lists(st.sampled_from(list(EDGES)), max_size=2))
+    roots += [side * beyond for side, beyond in draw(st.lists(st.tuples(
+        st.sampled_from([-1.0, 1.0]), st.floats(EDGES[-1], 1.05)),
+        max_size=2))]
     pair = draw(st.none() | st.tuples(st.floats(-1.5, 1.5),
                                       st.floats(1e-3, 1.0)))
     coef = series_of(roots, draw(st.floats(1e-6, 1e6)), pair)
@@ -220,6 +229,7 @@ def planted_series(draw):
 @example(PINNED[0])
 @example(PINNED[1])
 @example(JUST_OUTSIDE)
+@example((ASTRAY, ASTRAY_TOL))
 def test_certified_roots_agree_with_chebroots(series):
     coef, tol = series
     expected = np.sort(_chebyshev_real_roots(coef, tol))
