@@ -19,12 +19,11 @@ from .fileio import (ProblemSpec, SolveReport, export_obj, parse_curve,
                      serialize_problem, serialize_solution)
 from .solvers import (AffineScaling, Problem1Solution, Problem2Solution,
                       Problem3Solution, Solved, apex_direction,
-                      ruling_coefficients, solve_problem1, solve_problem2,
-                      solve_problem3, solve_spec)
+                      solve_problem1, solve_problem2, solve_problem3,
+                      solve_spec)
 from .strip import (DevelopableStrip, RuledPatch, control_relation_residuals,
                     propagate_polygon)
-from .verify import (DevelopabilityScan, cell_planarity_residual,
-                     curves_pointwise_equal, developability_scan,
+from .verify import (DevelopabilityScan, developability_scan,
                      planarity_report)
 from .cli import main, run_cli
 
@@ -35,11 +34,10 @@ __all__ = [
     "control_relation_residuals",
     "AffineScaling",
     "Problem1Solution", "Problem2Solution", "Problem3Solution", "Solved",
-    "ruling_coefficients",
     "solve_problem1", "solve_problem2", "solve_problem3", "apex_direction",
     "solve_spec",
     "DevelopabilityScan", "developability_scan",
-    "cell_planarity_residual", "curves_pointwise_equal", "planarity_report",
+    "planarity_report",
     "ProblemSpec", "SolveReport", "parse_problem", "serialize_problem",
     "parse_curve", "serialize_curve", "parse_solution", "serialize_solution",
     "export_obj", "run_cli", "main",

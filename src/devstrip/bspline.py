@@ -293,19 +293,6 @@ class BSplineCurve:
 
     # -- evaluation -------------------------------------------------------
 
-    def blossom_eval(self, piece: int, args: Sequence[float]) -> np.ndarray:
-        """Polar form c[v_1..v_n] of the polynomial piece.
-
-        Arguments need not lie inside the piece (the polar form is a
-        polynomial in each slot).
-        """
-        n = self.degree
-        values = np.array([[float(v) for v in args]])
-        if values.shape[1] != n:
-            raise ValueError(f"blossom of a degree-{n} curve takes {n} arguments")
-        span = self._knots._span_index(piece)
-        return self._blossoms(np.array([span]), values)[0]
-
     def _de_boor(self, spans: np.ndarray, args: np.ndarray, stages: int) -> np.ndarray:
         """The first `stages` stages of de Boor's recursion for the pieces on
         knot spans `spans` (k,) at the rows of `args` (k, n), laid out as

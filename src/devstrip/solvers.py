@@ -28,7 +28,8 @@ from .bspline import BSplineCurve, KnotVector, _windows, as_point3
 from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
                      InfeasibleProblemError, PlanarSurfaceError)
 from .fileio import ProblemSpec
-from .strip import DevelopableStrip, RuledPatch, propagate_polygon
+from .strip import (POLE_GUARD_REL, DevelopableStrip, RuledPatch,
+                    propagate_polygon)
 
 RULING_PARALLEL_TOL = 1e-9
 ANCHOR_LINE_TOL = 1e-9
@@ -37,10 +38,6 @@ OUT_OF_PLANE_TOL = 1e-9
 # Data are planar when every det(c_i − c_L, v, w) is below this fraction of
 # max ‖c_i − c_L‖ · ‖v × w‖, the largest value such a determinant can take.
 PLANAR_DET_REL = 1e-12
-
-# Roots this close to a knot (fraction of domain length) sit on recursion
-# poles and are never admissible parameters.
-KNOT_EXCLUSION_REL = 1e-6
 
 # The compatibility function is evaluated in blocks of weights of at most
 # this many entries (64 kB), so its temporaries stay small at any L.
@@ -363,31 +360,6 @@ def _check_directions(v: np.ndarray, w: np.ndarray) -> None:
             "cylinder, which this construction does not cover")
 
 
-def ruling_coefficients(a_point, c_last, v, w) -> tuple[float, float]:
-    """Coordinates (alpha, beta) of a_point − c_last in the (v, w) frame.
-
-    a_point must lie in the plane spanned by v and w through c_last; a
-    genuine coplanarity root guarantees that, so a violation means the
-    supplied parameter was not actually a root."""
-    v = as_point3(v)
-    w = as_point3(w)
-    offset = as_point3(a_point) - as_point3(c_last)
-    normal = np.cross(v, w)
-    gram = float(normal @ normal)
-    if gram == 0.0:
-        raise ValueError("ruling directions must be linearly independent")
-    out_of_plane = abs(float(offset @ normal)) / np.sqrt(gram)
-    scale = max(1.0, float(np.linalg.norm(offset)))
-    if out_of_plane > OUT_OF_PLANE_TOL * scale:
-        raise InfeasibleProblemError(
-            "intersection point lies off the ruling plane "
-            f"(residual {out_of_plane:.3e}); the supplied parameter is not "
-            "a root of the coplanarity equation")
-    alpha = _det3(offset, w, normal) / gram
-    beta = _det3(v, offset, normal) / gram
-    return float(alpha), float(beta)
-
-
 # ---------------------------------------------------------------------------
 # Problem 1: end ruling directions and one anchored endpoint
 
@@ -425,14 +397,6 @@ def _line_scale(offset: np.ndarray, direction: np.ndarray, what: str) -> float:
             ANCHOR_LINE_TOL * off_len * dir_len:
         raise ValueError(f"{what} does not lie on its prescribed ruling line")
     return float(offset @ direction) / float(direction @ direction)
-
-
-def _pole_product(knots: KnotVector, count: int, m: float) -> float:
-    n = knots.degree
-    q = 1.0
-    for i in range(count - 1):
-        q *= (m - knots[i]) / (m - knots[i + n])
-    return q
 
 
 def solve_problem1(curve: BSplineCurve, v, w, *,
@@ -486,7 +450,7 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
 
     a, b = curve.domain
     roots = _real_roots(compatibility, knots._array[: len(ctrl) - 2],
-                        knots.inner_values(), KNOT_EXCLUSION_REL * (b - a))
+                        knots.inner_values(), POLE_GUARD_REL * (b - a))
     if not roots:
         raise InfeasibleProblemError(
             "coplanarity equation has no admissible real root")
@@ -495,26 +459,38 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
                          f"{len(roots)} admissible root(s)")
     m0 = roots[root_choice]
 
-    a_point = _ratio_weights(knots, len(ctrl), [m0])[0] @ ctrl[:-1]
-    alpha, beta = ruling_coefficients(a_point, ctrl[-1], v, w)
-    offset_scale = max(1.0, float(np.linalg.norm(a_point - ctrl[-1])))
+    weights = _ratio_weights(knots, len(ctrl), [m0])[0]
+    offset = weights @ ctrl[:-1] - ctrl[-1]  # a(M*) − c_L
+    gram = float(normal @ normal)
+    out_of_plane = abs(float(offset @ normal)) / np.sqrt(gram)
+    offset_scale = max(1.0, float(np.linalg.norm(offset)))
+    if out_of_plane > OUT_OF_PLANE_TOL * offset_scale:
+        raise InfeasibleProblemError(
+            "intersection point lies off the ruling plane "
+            f"(residual {out_of_plane:.3e}); the supplied parameter is not "
+            "a root of the coplanarity equation")
+    # (alpha, beta): coordinates of a(M*) − c_L in the (v, w) frame
+    alpha = _det3(offset, w, normal) / gram
+    beta = _det3(v, offset, normal) / gram
     if abs(alpha) * np.linalg.norm(v) <= 1e-12 * offset_scale or \
             abs(beta) * np.linalg.norm(w) <= 1e-12 * offset_scale:
         raise InfeasibleProblemError(
             "a boundary ruling scale is pinned to zero for this root; the "
             "prescribed endpoint cannot be reached")
 
-    q = _pole_product(knots, len(ctrl), m0)
-    last_inner = knots[len(ctrl) - 2]  # u_{L-1}, the pivot of both scales
+    # The product of the recursion's pole ratios over every cell is
+    # (M* − u_{L−1}) / ((M* − u_n)·S_0); u_{L−1} cancels from λ* and σ.
+    span = (m0 - knots[knots.degree]) * float(weights[0])
+    last_inner = knots[len(ctrl) - 2]  # u_{L-1}, the pivot of tau
     if d0 is not None:
         sigma = sigma_given
-        lam = m0 + sigma * (m0 - last_inner) / (alpha * q)
+        lam = m0 + sigma * span / alpha
         tau = beta * (m0 - lam) / (m0 - last_inner)
         start = d0
     else:
         tau = tau_given
         lam = m0 - tau * (m0 - last_inner) / beta
-        sigma = alpha * (lam - m0) * q / (m0 - last_inner)
+        sigma = alpha * (lam - m0) / span
         start = ctrl[0] + sigma * v
     if not np.isfinite(lam):
         raise InfeasibleProblemError(

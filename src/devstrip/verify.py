@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import BSplineCurve, as_point3, _row_norms
+from .bspline import _row_norms
 from .strip import RuledPatch
 
 # Rulings shorter than this fraction of the patch scale are collapsed points
@@ -81,51 +81,20 @@ def developability_scan(patch: RuledPatch,
     return DevelopabilityScan(float(residual[worst]), arg, len(us), skipped)
 
 
-def curves_pointwise_equal(p: BSplineCurve, q: BSplineCurve,
-                           samples: int = 200) -> float:
-    """Max Euclidean distance between two curves over uniform samples.
+def planarity_report(strip: RuledPatch) -> list[float]:
+    """Planarity residual of every control net cell, in order.
 
-    The curves may have different degrees and knots but must share a domain;
-    this is the oracle for point-set-preserving operations."""
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    (pa, pb), (qa, qb) = p.domain, q.domain
-    span = max(pb - pa, qb - qa)
-    if abs(pa - qa) > 1e-9 * span or abs(pb - qb) > 1e-9 * span:
-        raise ValueError(
-            "curves are parameterized over different domains: "
-            f"[{pa}, {pb}] vs [{qa}, {qb}]")
-    us = np.linspace(pa, pb, samples)
-    # Clamp against sub-ulp domain mismatch at the far endpoint.
-    gaps = _row_norms(p.evaluate(us) - q.evaluate(np.clip(us, qa, qb)))
-    return float(np.max(gaps, initial=0.0, where=gaps > 0.0))
-
-
-def _cell_planarity(ci, cj, di, dj) -> np.ndarray:
-    """Planarity residuals of the cells (ci, cj, di, dj), each a (k, 3)
-    array of one corner per cell, as a (k,) array."""
+    Cell i is the point quadruple (c_i, c_{i+1}, d_i, d_{i+1}).  Its
+    residual is |det(c_{i+1} - c_i, d_i - c_i, d_{i+1} - c_i)| divided by
+    the product of the three argument norms (each floored at 1e-12 of the
+    cell scale); zero exactly when the four points are coplanar.
+    """
+    c = strip.base.control
+    d = strip.opposite.control
+    ci, cj, di, dj = c[:-1], c[1:], d[:-1], d[1:]
     e1, e2, e3 = cj - ci, di - ci, dj - ci
     det = np.linalg.det(np.stack((e1, e2, e3), axis=-1))
     corners = np.maximum.reduce([_row_norms(p) for p in (ci, cj, di, dj)])
     floor = 1e-12 * np.maximum(1.0, corners)
     n1, n2, n3 = (np.maximum(_row_norms(e), floor) for e in (e1, e2, e3))
-    return np.abs(det) / (n1 * n2 * n3)
-
-
-def cell_planarity_residual(cell) -> float:
-    """Dimensionless coplanarity defect of one net cell.
-
-    The cell is the point quadruple (c_i, c_{i+1}, d_i, d_{i+1}).  Returns
-    |det(c_{i+1} - c_i, d_i - c_i, d_{i+1} - c_i)| divided by the product
-    of the three argument norms (each floored at 1e-12 of the cell scale);
-    zero exactly when the four points are coplanar.
-    """
-    ci, cj, di, dj = (as_point3(p)[None, :] for p in cell)
-    return float(_cell_planarity(ci, cj, di, dj)[0])
-
-
-def planarity_report(strip: RuledPatch) -> list[float]:
-    """Planarity residual of every control net cell, in order."""
-    c = strip.base.control
-    d = strip.opposite.control
-    return _cell_planarity(c[:-1], c[1:], d[:-1], d[1:]).tolist()
+    return (np.abs(det) / (n1 * n2 * n3)).tolist()

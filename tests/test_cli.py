@@ -1,5 +1,6 @@
 """Command-line behavior: files written, summary lines, exit codes."""
 
+import ast
 import json
 import shutil
 import subprocess
@@ -24,6 +25,7 @@ import reference as ref
 from helpers import assert_polygon_close
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SOURCES = Path(devstrip.__file__).resolve().parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -43,11 +45,10 @@ PUBLIC_NAMES = [
     "InfeasibleProblemError", "KnotVector", "PlanarSurfaceError",
     "Problem1Solution", "Problem2Solution", "Problem3Solution",
     "ProblemSpec", "RuledPatch", "SolveReport", "Solved", "__version__",
-    "apex_direction", "cell_planarity_residual",
-    "control_relation_residuals", "curves_pointwise_equal",
+    "apex_direction", "control_relation_residuals",
     "developability_scan", "export_obj", "main", "parse_curve",
     "parse_problem", "parse_solution", "planarity_report",
-    "propagate_polygon", "ruling_coefficients", "run_cli",
+    "propagate_polygon", "run_cli",
     "serialize_curve", "serialize_problem", "serialize_solution",
     "solve_problem1", "solve_problem2", "solve_problem3", "solve_spec",
 ]
@@ -59,6 +60,32 @@ class TestTopLevel:
         # the public surface changes only on purpose
         assert sorted(devstrip.__all__) == PUBLIC_NAMES
         assert all(hasattr(devstrip, name) for name in PUBLIC_NAMES)
+
+    @pytest.mark.parametrize("module", sorted(
+        path.name for path in SOURCES.glob("*.py")))
+    def test_every_import_is_used_or_exported(self, module):
+        tree = ast.parse((SOURCES / module).read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    imported[bound] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        exported = {elt.value for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["__all__"]
+                    for elt in node.value.elts}
+        unused = sorted(f"{name} (line {line})"
+                        for name, line in imported.items()
+                        if name not in used | exported)
+        assert not unused, f"{module} imports unused names: {unused}"
 
     def test_version_banner(self, capsys):
         assert run_cli(["--version"]) == 0

@@ -138,6 +138,25 @@ class TestFixtureRoots:
                 pytest.fail(f"no sign change within {self.ULPS} ulps "
                             f"of {root!r}")
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_lambda_star_is_the_exact_ruling_scale_formula(self, name):
+        # lambda* = M* + sigma (M* - u_n) S_0 / alpha, S_0 the product of
+        # the ratios (M* - u_{j+n+1}) / (M* - u_j) over j = 0..L-2, taken in
+        # exact fractions at the solve's own M*, sigma and alpha
+        spec = parse_problem((FIXTURES / name).read_text())
+        inner = solve_spec(spec).problem1
+        knots = inner.strip.base.knots
+        u = [Fraction(x) for x in knots]
+        n = knots.degree
+        m = Fraction(inner.chosen_root)
+        weight = Fraction(1)
+        for j in range(len(inner.strip.base.control) - 2):
+            weight *= (m - u[j + n + 1]) / (m - u[j])
+        exact = m + Fraction(inner.sigma) * (m - u[n]) * weight \
+            / Fraction(inner.alpha)
+        lam = inner.lambda_star
+        assert abs(Fraction(lam) - exact) <= Fraction(np.spacing(abs(lam)))
+
 
 class TestScripts:
 

@@ -19,9 +19,7 @@ from devstrip import (
     DevelopableStrip,
     InfeasibleProblemError,
     RuledPatch,
-    cell_planarity_residual,
     control_relation_residuals,
-    curves_pointwise_equal,
     developability_scan,
     planarity_report,
     propagate_polygon,
@@ -31,10 +29,11 @@ from devstrip import (
 from devstrip.solvers import _rescaled_pair
 
 import reference as ref
-from helpers import (assert_point_close, loop_blossom_on_span,
-                     loop_control_relation_residuals, loop_derivative_at,
-                     loop_evaluate, loop_planarity_report,
-                     loop_propagate_polygon, loop_span_for, loop_window_span)
+from helpers import (assert_point_close, blossom, curves_pointwise_equal,
+                     loop_blossom_on_span, loop_control_relation_residuals,
+                     loop_derivative_at, loop_evaluate,
+                     loop_planarity_report, loop_propagate_polygon,
+                     loop_span_for, loop_window_span, one_cell_planarity)
 
 coordinates = st.floats(-10.0, 10.0, allow_nan=False, width=64)
 points = st.tuples(coordinates, coordinates, coordinates)
@@ -97,7 +96,7 @@ class TestBlossomAlgebra:
     def test_diagonal_reproduces_the_curve(self, drawn):
         curve, u = drawn
         piece = curve.knots.piece_for(u)
-        value = curve.blossom_eval(piece, (u,) * curve.degree)
+        value = blossom(curve, piece, (u,) * curve.degree)
         assert_point_close(value, curve.evaluate(u),
                            1e-9 * scale_of(curve))
 
@@ -108,9 +107,9 @@ class TestBlossomAlgebra:
         a, b = curve.domain
         args = [a + t * (b - a) for t in ts[:curve.degree]]
         piece = curve.knots.piece_for(u)
-        direct = curve.blossom_eval(piece, args)
+        direct = blossom(curve, piece, args)
         shuffled = [args[i] for i in order if i < curve.degree]
-        assert_point_close(curve.blossom_eval(piece, shuffled), direct,
+        assert_point_close(blossom(curve, piece, shuffled), direct,
                            1e-9 * scale_of(curve))
 
     @given(curve_and_parameter(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
@@ -121,10 +120,9 @@ class TestBlossomAlgebra:
         x, y = a + tx * (b - a), a + ty * (b - a)
         rest = (u,) * (curve.degree - 1)
         piece = curve.knots.piece_for(u)
-        mixed = curve.blossom_eval(piece, (theta * x + (1 - theta) * y,)
-                                   + rest)
-        combo = (theta * curve.blossom_eval(piece, (x,) + rest)
-                 + (1 - theta) * curve.blossom_eval(piece, (y,) + rest))
+        mixed = blossom(curve, piece, (theta * x + (1 - theta) * y,) + rest)
+        combo = (theta * blossom(curve, piece, (x,) + rest)
+                 + (1 - theta) * blossom(curve, piece, (y,) + rest))
         assert_point_close(mixed, combo, 1e-8 * scale_of(curve))
 
 
@@ -154,7 +152,7 @@ class TestBatchedEvaluator:
                 for j, row in zip(spans, args)]
         assert np.array_equal(got, want)
         piece = knots.piece_for(u_refs[0])
-        assert np.array_equal(base.blossom_eval(piece, args[0, :n]), want[0])
+        assert np.array_equal(blossom(base, piece, args[0, :n]), want[0])
 
         dropped = base._dropped_blossoms(np.array(spans), args)
         for drop in range(n + 1):
@@ -218,7 +216,7 @@ class TestBatchedEvaluator:
         report = planarity_report(patch)
         assert report == loop_planarity_report(patch)
         c, d = base.control, opposite.control
-        assert [cell_planarity_residual((c[i], c[i + 1], d[i], d[i + 1]))
+        assert [one_cell_planarity((c[i], c[i + 1], d[i], d[i + 1]))
                 for i in range(len(c) - 1)] == report
 
         try:

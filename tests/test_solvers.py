@@ -6,7 +6,9 @@ for a(M*), monic quartic coefficients, interpolation conditions) are held
 to tight tolerances.
 """
 
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,19 +23,22 @@ from devstrip import (
     PlanarSurfaceError,
     RuledPatch,
     apex_direction,
+    parse_problem,
     propagate_polygon,
-    ruling_coefficients,
     solve_problem1,
     solve_problem2,
     solve_problem3,
+    solve_spec,
 )
 from devstrip import solvers
 from devstrip.solvers import _ratio_weights
 
 import reference as ref
-from helpers import (assert_point_close, assert_polygon_close,
+from helpers import (assert_point_close, assert_polygon_close, blossom,
                      exact_compatibility_numerator, exact_offset_numerator,
                      plant_strip, quartic_real_roots)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -171,26 +176,29 @@ class TestCramerPolynomial:
 
 
 class TestRulingCoefficients:
+    """(alpha, beta), the coordinates of a(M*) − c_L in the (v, w) frame."""
 
-    def test_exact_frame_coordinates(self):
-        c_last = np.array([1.0, 2.0, 3.0])
-        v = np.array([1.0, 0.0, 1.0])
-        w = np.array([0.0, 2.0, -1.0])
-        a = c_last + 2.0 * v - 3.0 * w
-        alpha, beta = ruling_coefficients(a, c_last, v, w)
-        assert (alpha, beta) == pytest.approx((2.0, -3.0), abs=1e-13)
+    def test_exact_frame_coordinates(self, cubic, cubic_p1):
+        m = Fraction(cubic_p1.chosen_root)
+        ctrl = cubic.control
+        denominator = math.prod(m - Fraction(u)
+                                for u in cubic.knots[: len(ctrl) - 2])
+        offset = [float(x / denominator)
+                  for x in exact_offset_numerator(cubic.knots, ctrl, m)]
+        frame = (cubic_p1.alpha * np.asarray(ref.CUBIC_V)
+                 + cubic_p1.beta * np.asarray(ref.CUBIC_W))
+        assert_point_close(frame, offset, 1e-13 * np.linalg.norm(offset))
 
-    def test_point_off_the_plane_is_rejected(self):
-        c_last = np.zeros(3)
-        v = np.array([1.0, 0.0, 0.0])
-        w = np.array([0.0, 1.0, 0.0])
-        with pytest.raises(InfeasibleProblemError, match="off the ruling"):
-            ruling_coefficients((0.5, 0.5, 0.1), c_last, v, w)
-
-    def test_parallel_frame_rejected(self):
-        v = np.array([1.0, 1.0, 0.0])
-        with pytest.raises(ValueError, match="independent"):
-            ruling_coefficients((1.0, 0.0, 0.0), np.zeros(3), v, v)
+    def test_point_off_the_plane_is_rejected(self, monkeypatch):
+        # a parameter 1e-3 past each root puts a(M*) off the ruling plane
+        # of every fixture, by 1.5e-4 to 3.7e-3
+        real_roots = solvers._real_roots
+        monkeypatch.setattr(solvers, "_real_roots", lambda *args: [
+            root + 1e-3 for root in real_roots(*args)])
+        for path in sorted(FIXTURES.glob("*.json")):
+            with pytest.raises(InfeasibleProblemError,
+                               match="off the ruling plane"):
+                solve_spec(parse_problem(path.read_text()))
 
 
 class TestProblem1:
@@ -224,9 +232,9 @@ class TestProblem1:
         d = cubic_p1.strip.opposite
         for args, expected in ref.CUBIC_AUX_D.items():
             pieces = (0, 1) if 0.3 in args else (1, 2)
-            assert_point_close(d.blossom_eval(pieces[0], args),
+            assert_point_close(blossom(d, pieces[0], args),
                                expected, 0.01)
-            assert_point_close(d.blossom_eval(pieces[1], args),
+            assert_point_close(blossom(d, pieces[1], args),
                                expected, 0.01)
 
     def test_full_multiplicity_split(self, cubic_p1):
@@ -522,14 +530,14 @@ class TestProblem3:
         d_mid = tri_p3.problem2.problem1.strip.opposite
         for args, expected in ref.TRI_AUX_D_MID.items():
             pieces = (0, 1) if 0.3 in args else (1, 2)
-            assert_point_close(d_mid.blossom_eval(pieces[0], args),
+            assert_point_close(blossom(d_mid, pieces[0], args),
                                expected, 0.01)
         tilde_c = tri_p3.problem2.elevated_c
         tilde_d = tri_p3.problem2.elevated_d
         for args, expected in ref.TRI_AUX_TILDE_C.items():
-            assert_point_close(tilde_c.blossom_eval(0, args), expected, 0.01)
+            assert_point_close(blossom(tilde_c, 0, args), expected, 0.01)
         for args, expected in ref.TRI_AUX_TILDE_D.items():
-            assert_point_close(tilde_d.blossom_eval(0, args), expected, 0.01)
+            assert_point_close(blossom(tilde_d, 0, args), expected, 0.01)
 
     def test_apex_and_far_corner_interpolated(self, tri_p3, cubic):
         scale = max(1.0, float(np.max(np.abs(tri_p3.final_d.control))))

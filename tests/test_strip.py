@@ -7,13 +7,14 @@ from devstrip import (
     BSplineCurve,
     DevelopableStrip,
     RuledPatch,
-    cell_planarity_residual,
     control_relation_residuals,
+    planarity_report,
     propagate_polygon,
 )
 
 import reference as ref
-from helpers import assert_point_close, assert_polygon_close
+from helpers import (assert_point_close, assert_polygon_close,
+                     one_cell_planarity)
 
 
 class TestRuledPatch:
@@ -123,26 +124,22 @@ class TestCellPlanarity:
     def test_planar_cell_is_exact_zero(self):
         cell = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
                 (0.0, 1.0, 0.0), (2.0, 3.0, 0.0))
-        assert cell_planarity_residual(cell) == 0.0
+        assert one_cell_planarity(cell) == 0.0
 
     def test_unit_tetrahedron_cell(self):
         cell = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
                 (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        assert cell_planarity_residual(cell) == pytest.approx(1.0)
+        assert one_cell_planarity(cell) == pytest.approx(1.0)
 
     def test_residual_is_scale_free(self):
         cell = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0),
                 (0.0, 1.0, 0.0), (0.3, 0.4, 0.25))
         scaled = tuple(tuple(1e5 * x for x in p) for p in cell)
-        assert cell_planarity_residual(scaled) == pytest.approx(
-            cell_planarity_residual(cell), rel=1e-9)
+        assert one_cell_planarity(scaled) == pytest.approx(
+            one_cell_planarity(cell), rel=1e-9)
 
     def test_quad_strip_cells_are_planar(self, quad_strip):
-        c = quad_strip.base.control
-        d = quad_strip.opposite.control
-        for i in range(len(c) - 1):
-            assert cell_planarity_residual(
-                (c[i], c[i + 1], d[i], d[i + 1])) <= 1e-15
+        assert max(planarity_report(quad_strip)) <= 1e-15
 
 
 class TestDevelopableStrip:
@@ -182,7 +179,7 @@ class TestDevelopableStrip:
         d = quad_strip.opposite.elevate_degree()
         assert_polygon_close(c.control, ref.QUAD_TILDE_C, 1e-14)
         assert_polygon_close(d.control, ref.QUAD_TILDE_D, 1e-14)
-        middle = cell_planarity_residual(
+        middle = one_cell_planarity(
             (c.control[1], c.control[2], d.control[1], d.control[2]))
         assert middle == pytest.approx(ref.QUAD_TILDE_MIDDLE_RESIDUAL,
                                        rel=1e-12)

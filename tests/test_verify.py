@@ -8,7 +8,6 @@ import pytest
 from devstrip import (
     BSplineCurve,
     RuledPatch,
-    curves_pointwise_equal,
     developability_scan,
     parse_problem,
     planarity_report,
@@ -19,7 +18,8 @@ from devstrip import (
 )
 
 import reference as ref
-from helpers import assert_point_close, loop_developability_scan
+from helpers import (assert_point_close, curves_pointwise_equal,
+                     loop_developability_scan)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
