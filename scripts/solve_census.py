@@ -1,0 +1,148 @@
+"""Record every solve of the benchmark's planted strips, or compare two records.
+
+    python3 scripts/solve_census.py --seeds 40 > new.jsonl
+    python3 scripts/solve_census.py --seeds 40 --src OTHER/src > old.jsonl
+    python3 scripts/solve_census.py --compare old.jsonl new.jsonl
+
+The solves are those of the stripbench workloads pieces_sweep and elevated,
+built by stripbench's own builders and anchored as the benchmark anchors
+them: for each seed 1..N the seeded plants of both workloads, and the fixed
+high-piece corpus of pieces_sweep once.  Each solve writes one JSON line:
+the case, its outcome ("solved" or the exception class), and for a solved
+case the roots, chosen root, lambda*, tau and the final control points of
+both boundaries, every float as float.hex so two records compare exactly.
+
+--compare lists the cases whose outcome or root count changed, then the
+largest move of a root (over max(1, |root|)), of lambda* and tau (over
+max(1, |value|)) and of a control point (over max(1, the largest
+coordinate)) among the cases solved on both sides.  It exits 1 when an
+outcome or a root count differs, or a case is missing from one record.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _solve(devstrip, case):
+    """The problem-1 solve behind the case and its final patch."""
+    kind, plant, curve = (case.payload[k] for k in ("kind", "plant", "curve"))
+    if kind == "problem1":
+        sol = devstrip.solve_problem1(curve, plant.v, plant.w, d0=plant.d0)
+        return sol, sol.strip
+    if kind == "problem2":
+        sol = devstrip.solve_problem2(curve, plant.d0, plant.dL)
+        return sol.problem1, devstrip.RuledPatch(sol.elevated_c,
+                                                 sol.elevated_d)
+    sol = devstrip.solve_problem3(curve, plant.dL,
+                                  case.payload["apex_velocity"])
+    return sol.problem2.problem1, devstrip.RuledPatch(sol.final_c,
+                                                      sol.final_d)
+
+
+def census(seeds: int, src: Path):
+    sys.path.insert(0, str(src.resolve()))
+    sys.path.insert(0, str(ROOT / "stripbench"))
+    import devstrip
+    import run as bench
+
+    for seed in range(1, seeds + 1):
+        for workload in ("pieces_sweep", "elevated"):
+            build = bench.WORKLOADS[workload][0]
+            for case in build(seed, devstrip, None):
+                # the fixed corpus is the same for every seed
+                if not case.must_pass and seed > 1:
+                    continue
+                label = "fixed" if not case.must_pass else f"seed{seed}"
+                line = {"case": f"{workload}/{label}/{case.name}"}
+                try:
+                    first, patch = _solve(devstrip, case)
+                except Exception as exc:
+                    line["outcome"] = type(exc).__name__
+                else:
+                    line.update(
+                        outcome="solved", roots=_hex(first.m_star_roots),
+                        chosen=float(first.chosen_root).hex(),
+                        lambda_star=float(first.lambda_star).hex(),
+                        tau=float(first.tau).hex(),
+                        base=[_hex(p) for p in patch.base.control],
+                        opposite=[_hex(p) for p in patch.opposite.control])
+                yield line
+
+
+def _read(path: str) -> dict:
+    with open(path) as f:
+        return {line["case"]: line for line in map(json.loads, f)}
+
+
+def _floats(values):
+    return [float.fromhex(v) for v in values]
+
+
+def compare(old_path: str, new_path: str) -> int:
+    old, new = _read(old_path), _read(new_path)
+    changed = []
+    for case in sorted(old.keys() ^ new.keys()):
+        changed.append(f"{case}: only in "
+                       f"{old_path if case in old else new_path}")
+    moves = {"root": 0.0, "lambda_star": 0.0, "tau": 0.0, "control": 0.0}
+    solved = 0
+    for case in sorted(old.keys() & new.keys()):
+        a, b = old[case], new[case]
+        if a["outcome"] != b["outcome"]:
+            changed.append(f"{case}: {a['outcome']} -> {b['outcome']}")
+            continue
+        if a["outcome"] != "solved":
+            continue
+        ra, rb = _floats(a["roots"]), _floats(b["roots"])
+        if len(ra) != len(rb):
+            changed.append(f"{case}: {len(ra)} -> {len(rb)} roots")
+            continue
+        solved += 1
+        for x, y in zip(ra, rb):
+            moves["root"] = max(moves["root"], abs(y - x) / max(1.0, abs(x)))
+        for key in ("lambda_star", "tau"):
+            x, y = float.fromhex(a[key]), float.fromhex(b[key])
+            moves[key] = max(moves[key], abs(y - x) / max(1.0, abs(x)))
+        pa = [_floats(p) for p in a["base"] + a["opposite"]]
+        pb = [_floats(p) for p in b["base"] + b["opposite"]]
+        scale = max([1.0] + [abs(x) for p in pa for x in p])
+        moves["control"] = max([moves["control"]] + [
+            abs(y - x) / scale for p, q in zip(pa, pb) for x, y in zip(p, q)])
+
+    for line in changed:
+        print(line)
+    print(f"{len(old)} and {len(new)} solves, {len(changed)} changed, "
+          f"{solved} solved on both sides with the same root count")
+    print("largest relative move: " + ", ".join(
+        f"{key} {value:.3g}" for key, value in moves.items()))
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, default=40, metavar="N",
+                        help="solve the plants of seeds 1..N (default: 40)")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        metavar="DIR",
+                        help="directory holding the devstrip package to "
+                             "solve with (default: this checkout's src)")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two records instead of solving")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    for line in census(args.seeds, args.src):
+        print(json.dumps(line))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 bad input, 2 infeasible data, 3 rejected
-degenerate configuration (cylinder/cone/planar).
+degenerate configuration (cylinder/cone/planar, or a surface to verify
+whose every sampled ruling is collapsed, which leaves no verdict).
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
           f"at u = {scan.argmax_u:.6g}")
     print(f"samples: {scan.samples} used, {scan.skipped} skipped "
           f"(collapsed rulings)")
+    if scan.samples == 0:
+        print("no verdict: every sampled ruling is collapsed")
+        return 3
     if scan.max_residual <= VERIFY_TOL:
         print(f"developable within tolerance {VERIFY_TOL:.0e}")
         return 0

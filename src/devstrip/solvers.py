@@ -45,10 +45,10 @@ WEIGHT_BLOCK = 2 ** 13
 
 # Adaptive Chebyshev interpolation of the compatibility function, one piece
 # per pole interval (Boyd, SIAM J. Numer. Anal. 40, 2002).  A piece is
-# sampled at these sizes in turn, then halved and tried again, so colleague
-# matrices stay at most 63 x 63; after the last halving a piece is taken as
-# it stands.
-CHEB_SIZES = (16, 32, 64)
+# sampled at this many first-kind points and halved until it converges, so
+# colleague matrices stay at most 31 x 31; after the last halving a piece is
+# taken as it stands.
+CHEB_POINTS = 32
 CHEB_MAX_HALVINGS = 20
 # A piece has converged when its last quarter of coefficients falls below
 # this fraction of the piece's largest sum of absolute terms, the scale of
@@ -75,28 +75,18 @@ CHEB_NEWTON_STEPS = 3
 CHEB_ROOT_TOL = 1e-10
 
 
-def _interpolation_basis(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """First-kind Chebyshev points of ``size`` samples, and the matrix that
-    takes the samples there to the interpolant's coefficients, zero-padded
-    to the largest size."""
+def _chebyshev_tables() -> tuple[np.ndarray, ...]:
+    """The first-kind Chebyshev points and the matrix that takes the
+    samples there to the interpolant's coefficients.  For such a series:
+    the matrix to its CHEB_SPLIT sub-interval series in y ∈ [-1, 1]
+    (points × CHEB_SPLIT·points) and the matrix to its derivative series.
+    Then the values of a sub-interval series on its cell grid, and the
+    sub-interval centres and half-width in x."""
+    size = CHEB_POINTS
     theta = np.pi * (np.arange(size) + 0.5) / size
-    basis = np.zeros((size, CHEB_SIZES[-1]))
-    basis[:, :size] = np.cos(np.outer(theta, np.arange(size))) * (2.0 / size)
+    nodes = np.cos(theta)
+    basis = np.cos(np.outer(theta, np.arange(size))) * (2.0 / size)
     basis[:, 0] *= 0.5
-    return np.cos(theta), basis
-
-
-_BASES = {size: _interpolation_basis(size) for size in CHEB_SIZES}
-
-
-def _split_tables() -> tuple[np.ndarray, ...]:
-    """For a series of the largest size: the matrix to its CHEB_SPLIT
-    sub-interval series in y ∈ [-1, 1] (size × CHEB_SPLIT·size) and the
-    matrix to its derivative series.  Then the values of a sub-interval
-    series on its cell grid, and the sub-interval centres and half-width
-    in x."""
-    size = CHEB_SIZES[-1]
-    nodes, basis = _BASES[size]
     window = 1.0 + CHEB_IMAG_TOL
     half = window / CHEB_SPLIT
     centres = window * np.arange(1 - CHEB_SPLIT, CHEB_SPLIT, 2) / CHEB_SPLIT
@@ -106,10 +96,12 @@ def _split_tables() -> tuple[np.ndarray, ...]:
     derivative = np.zeros((size, size))
     derivative[:, :-1] = chebder(np.eye(size), axis=0).T
     cells = chebvander(np.linspace(-1.0, 1.0, CHEB_CELLS + 1), size - 1).T
-    return split.reshape(size, -1), derivative, cells, centres, half
+    return (nodes, basis, split.reshape(size, -1), derivative, cells,
+            centres, half)
 
 
-_SPLIT, _DERIVATIVE, _CELLS, _CENTRES, _HALF = _split_tables()
+(_NODES, _BASIS, _SPLIT, _DERIVATIVE, _CELLS, _CENTRES,
+ _HALF) = _chebyshev_tables()
 
 
 def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -196,33 +188,26 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
         return (values.reshape(m.shape) * factor,
                 sizes.reshape(m.shape) * np.abs(factor))
 
-    # converged interpolants (zero-padded to the largest size) with their
-    # interval, centre, half-width and tolerance
+    # converged interpolants with their interval, centre, half-width and
+    # tolerance
     converged = []
     piece = np.arange(s + 1)
     lo, hi = -np.ones(s + 1), np.ones(s + 1)
     for halvings in range(CHEB_MAX_HALVINGS + 1):
-        for size in CHEB_SIZES:
-            nodes, basis = _BASES[size]
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            values, sizes = sample(piece[:, None],
-                                   mid[:, None] + half[:, None] * nodes)
-            coef = values @ basis
-            tol = CHEB_TAIL_REL * np.max(sizes, axis=1)
-            # a piece with non-finite samples has no roots to find
-            done = (np.max(np.abs(coef[:, size - size // 4 : size]), axis=1)
-                    <= tol) \
-                | ~np.all(np.isfinite(coef), axis=1)
-            if halvings == CHEB_MAX_HALVINGS and size == CHEB_SIZES[-1]:
-                done[:] = True
-            converged.append((piece[done], mid[done], half[done], coef[done],
-                              tol[done]))
-            piece, lo, hi = piece[~done], lo[~done], hi[~done]
-            if not piece.size:
-                break
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        values, sizes = sample(piece[:, None],
+                               mid[:, None] + half[:, None] * _NODES)
+        coef = values @ _BASIS
+        tol = CHEB_TAIL_REL * np.max(sizes, axis=1)
+        tail = np.max(np.abs(coef[:, -(CHEB_POINTS // 4):]), axis=1)
+        # a piece with non-finite samples has no roots to find
+        done = (tail <= tol) | ~np.all(np.isfinite(coef), axis=1) \
+            | (halvings == CHEB_MAX_HALVINGS)
+        converged.append((piece[done], mid[done], half[done], coef[done],
+                          tol[done]))
+        piece, lo, mid, hi = piece[~done], lo[~done], mid[~done], hi[~done]
         if not piece.size:
             break
-        mid = 0.5 * (lo + hi)
         piece = np.repeat(piece, 2)
         lo, hi = np.ravel((lo, mid), order="F"), np.ravel((mid, hi), order="F")
 
@@ -257,9 +242,14 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
 
 def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots of the Chebyshev series in the rows of ``coef`` (the
-    largest size, zero-padded), as the row and x of each root: the roots
-    ``_chebyshev_real_roots`` reports, mostly without an eigenvalue solve.
+    """Real roots of the Chebyshev series in the rows of ``coef``, as the
+    row and x of each root: the eigenvalues of the colleague matrix of each
+    series, with its coefficients at or below ``tol`` dropped from the top,
+    whose imaginary part is at most CHEB_IMAG_TOL and whose real part lies
+    in the window |x| <= 1 + CHEB_IMAG_TOL, mostly found without an
+    eigenvalue solve.  A series has none to look for when its coefficients
+    are not finite, it is constant, or its constant term bounds the rest
+    away from zero.
 
     A series with a root to look for is cut into CHEB_SPLIT sub-intervals.
     A sub-interval is settled when its own series has a constant term
@@ -270,10 +260,10 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
     flat stretch fail both tests.  A root's Newton steps must end within
     CHEB_ROOT_TOL of a sign change, or its sub-interval is unsettled too;
     a series with any sub-interval left unsettled goes whole to
-    ``_chebyshev_real_roots``."""
+    ``chebroots``."""
     size = coef.shape[1]
     big = np.abs(coef) > tol[:, None]
-    # the series that _chebyshev_real_roots would send to chebroots
+    # the series with a root to look for
     rows = np.flatnonzero(np.all(np.isfinite(coef), axis=1)
                           & np.any(big[:, 1:], axis=1)
                           & (np.abs(coef[:, 0])
@@ -330,24 +320,14 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
     x = x[settled[r]]
     r = r[settled[r]]
 
-    rest = rows[~settled]
-    fallback = [_chebyshev_real_roots(coef[i], tol[i]) for i in rest]
-    return (np.concatenate([rows[r]] + [np.full(len(roots), i)
-                                        for i, roots in zip(rest, fallback)]),
-            np.concatenate([x] + fallback))
-
-
-def _chebyshev_real_roots(coef: np.ndarray, tol: float) -> np.ndarray:
-    """Real roots in [-1, 1] of the Chebyshev series ``coef`` with its
-    coefficients at or below ``tol`` dropped from the top; none when the
-    leading term bounds the rest away from zero."""
-    big = np.flatnonzero(np.abs(coef) > tol)
-    if not np.all(np.isfinite(coef)) or big.size == 0 or big[-1] == 0 or \
-            abs(coef[0]) > np.sum(np.abs(coef[1:])):
-        return np.empty(0)
-    t = chebroots(coef[: big[-1] + 1])
-    t = t[np.abs(t.imag) <= CHEB_IMAG_TOL].real
-    return t[np.abs(t) <= 1.0 + CHEB_IMAG_TOL]
+    rest = np.flatnonzero(~settled)
+    found = [chebroots(c[k, : top[k]]) for k in rest]
+    row = np.concatenate([r] + [np.full(len(z), k)
+                                for k, z in zip(rest, found)])
+    z = np.concatenate([x] + found)
+    real = (np.abs(z.imag) <= CHEB_IMAG_TOL) \
+        & (np.abs(z.real) <= 1.0 + CHEB_IMAG_TOL)
+    return rows[row[real]], z.real[real]
 
 
 def _check_directions(v: np.ndarray, w: np.ndarray) -> None:

@@ -18,6 +18,7 @@ from devstrip import (
     run_cli,
     serialize_curve,
     serialize_solution,
+    solve_problem1,
     solve_problem3,
 )
 
@@ -302,6 +303,26 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli(["verify", "--surface", str(path)]) == 2
         assert "NOT developable" in capsys.readouterr().out
+
+    def test_all_rulings_collapsed_gives_no_verdict(self, tmp_path, capsys,
+                                                     cubic_curve):
+        # every ruling of a surface shrunk by 1e-10 is below the collapsed
+        # threshold, so no sample is left to judge the bent control point
+        sol = solve_problem1(cubic_curve, ref.CUBIC_V, ref.CUBIC_W,
+                             d0=ref.CUBIC_D0)
+        base = 1e-10 * sol.strip.base.control
+        bent = 1e-10 * sol.strip.opposite.control
+        bent[2] += (0.0, 0.0, 1e-10)
+        tiny = RuledPatch(BSplineCurve(cubic_curve.knots, base),
+                          BSplineCurve(cubic_curve.knots, bent))
+        path = tmp_path / "tiny.json"
+        path.write_text(serialize_solution(tiny))
+        capsys.readouterr()
+        assert run_cli(["verify", "--surface", str(path)]) == 3
+        stdout = capsys.readouterr().out
+        assert "samples: 0 used, 300 skipped" in stdout
+        assert "no verdict" in stdout
+        assert "developable within" not in stdout
 
     def test_tampered_strip_fails_parse(self, tmp_path, capsys):
         surface = self.solved_surface(tmp_path)

@@ -1,7 +1,9 @@
-"""One solve path: the CLI and both scripts go through solve_spec."""
+"""One solve path: the CLI and the fixture scripts go through solve_spec."""
 
 import importlib.util
 import itertools
+import json
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -198,3 +200,28 @@ class TestScripts:
         assert blocks == [f"{45.0 * step:6.1f}" for step in range(8)]
         # the anchor turns with w, so it pins the same ruling scale tau
         assert {row.split()[4] for row in rows} == {"2.2389"}
+
+    def test_solve_census_of_one_seed_matches_itself(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # a subprocess, so the stripbench modules it imports stay there
+        record = tmp_path / "census.jsonl"
+        with record.open("w") as out:
+            subprocess.run([sys.executable,
+                            str(REPO / "scripts" / "solve_census.py"),
+                            "--seeds", "1"], stdout=out, check=True)
+        lines = record.read_text().splitlines()
+        # 12 seeded pieces_sweep plants, the 24 of its fixed corpus and 32
+        # elevated ones
+        assert len(lines) == 68
+        script = load_script("solve_census", monkeypatch)
+        assert script.main(["--compare", str(record), str(record)]) == 0
+        assert "68 and 68 solves, 0 changed" in capsys.readouterr().out
+
+        first = json.loads(lines[0])
+        first["roots"] = first["roots"][1:]
+        fewer = tmp_path / "fewer.jsonl"
+        fewer.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        assert script.main(["--compare", str(record), str(fewer)]) == 1
+        assert capsys.readouterr().out.startswith(
+            f"{first['case']}: {len(first['roots']) + 1} -> "
+            f"{len(first['roots'])} roots")

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
-from numpy.polynomial.chebyshev import chebfromroots, chebmul
+from numpy.polynomial.chebyshev import chebfromroots, chebmul, chebroots
 
 from devstrip import BSplineCurve, PlanarSurfaceError, solve_problem1
 from devstrip import solvers
-from devstrip.solvers import (CHEB_SIZES, CHEB_TAIL_REL, _CENTRES, _HALF,
-                              _chebyshev_real_roots, _interpolant_roots,
+from devstrip.solvers import (CHEB_IMAG_TOL, CHEB_POINTS, CHEB_TAIL_REL,
+                              _CENTRES, _HALF, _interpolant_roots,
                               _real_roots)
 
 import reference as ref
@@ -151,6 +151,17 @@ def test_random_simple_roots_recovered():
         assert found == pytest.approx(list(roots), abs=1e-6)
 
 
+def test_halved_pieces_report_each_root_once():
+    # a degree-31 numerator needs all 32 coefficients, so the tail test
+    # fails and the pole interval is halved, at first right on the root 0,
+    # which neither half may lose or both report
+    roots = np.linspace(-0.9, 0.9, 31)
+    found = roots_of(lambda m: np.prod(m[:, None] - roots, axis=1),
+                     [-1.0] * 15 + [1.0] * 16)
+    assert len(found) == len(roots)
+    assert found == pytest.approx(list(roots), abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # the certified pass over an interpolant's sub-intervals, with its fallback
 
@@ -170,8 +181,23 @@ def series_of(roots, scale=1.0, pair=None):
 
 
 def certified_roots(coef, tol):
-    padded = np.pad(coef, (0, CHEB_SIZES[-1] - len(coef)))
+    padded = np.pad(coef, (0, CHEB_POINTS - len(coef)))
     return np.sort(_interpolant_roots(padded[None], np.array([tol]))[1])
+
+
+def eigenvalue_roots(coef, tol):
+    """The roots ``_interpolant_roots`` reports for one series, from
+    numpy's chebroots alone: the real eigenvalues in the window of the
+    series with its coefficients at or below tol dropped from the top, and
+    none when its coefficients are not finite, it is constant, or its constant
+    term bounds the rest away from zero."""
+    big = np.flatnonzero(np.abs(coef) > tol)
+    if not np.all(np.isfinite(coef)) or big.size == 0 or big[-1] == 0 or \
+            abs(coef[0]) > np.sum(np.abs(coef[1:])):
+        return np.empty(0)
+    t = chebroots(coef[: big[-1] + 1])
+    t = t[np.abs(t.imag) <= CHEB_IMAG_TOL].real
+    return t[np.abs(t) <= 1.0 + CHEB_IMAG_TOL]
 
 
 def at_tolerance():
@@ -179,7 +205,7 @@ def at_tolerance():
     sub-interval that holds its root 0.9, is exactly the tolerance: the
     value the certification computes there, by the same operations."""
     coef = series_of([0.9, -2.0])
-    padded = np.pad(coef, (0, CHEB_SIZES[-1] - len(coef)))[None]
+    padded = np.pad(coef, (0, CHEB_POINTS - len(coef)))[None]
     sub = (padded @ solvers._SPLIT).reshape(1, solvers.CHEB_SPLIT, -1)
     return coef, float(abs((sub @ solvers._CELLS)[0, -1, -1]))
 
@@ -232,7 +258,7 @@ def planted_series(draw):
 @example((ASTRAY, ASTRAY_TOL))
 def test_certified_roots_agree_with_chebroots(series):
     coef, tol = series
-    expected = np.sort(_chebyshev_real_roots(coef, tol))
+    expected = np.sort(eigenvalue_roots(coef, tol))
     found = certified_roots(coef, tol)
     assert len(found) == len(expected)
     assert found == pytest.approx(expected, abs=1e-9)

@@ -379,6 +379,23 @@ class TestCompatibilityRoots:
         near = [r for r in sol.m_star_roots if abs(r - m0) < 0.1]
         assert near == pytest.approx([m0], abs=1e-9)
 
+    def test_sample_count_is_bounded(self, monkeypatch):
+        # 13,870 rows with 32 points per interpolant; sampling at 16, then
+        # 32, then 64 points, whose point sets do not nest, took 18,094
+        rows = []
+        weights = solvers._ratio_weights
+
+        def counted(knots, count, m):
+            out = weights(knots, count, m)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(solvers, "_ratio_weights", counted)
+        for pieces in (16, 64):
+            for _, _, _, curve, v, w, d0, _ in planted_strips(pieces, False):
+                solve_problem1(curve, v, w, d0=d0)
+        assert sum(rows) <= 15_000
+
     def test_planar_data_raises_at_many_pieces(self):
         # a 24-piece curve in a tilted plane, rulings in the same plane
         rng = np.random.default_rng(5)
