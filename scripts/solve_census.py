@@ -9,14 +9,20 @@ built by stripbench's own builders and anchored as the benchmark anchors
 them: for each seed 1..N the seeded plants of both workloads, and the fixed
 high-piece corpus of pieces_sweep once.  Each solve writes one JSON line:
 the case, its outcome ("solved" or the exception class), and for a solved
-case the roots, chosen root, lambda*, tau and the final control points of
-both boundaries, every float as float.hex so two records compare exactly.
+case the roots, chosen root, lambda*, tau, the final control points of
+both boundaries and the developability_scan record of the final patch at
+20 samples per piece (the benchmark's density): max residual and its
+parameter, samples used and skipped.  Every float is written as float.hex,
+so two records compare exactly.
 
 --compare lists the cases whose outcome or root count changed, then the
 largest move of a root (over max(1, |root|)), of lambda* and tau (over
 max(1, |value|)) and of a control point (over max(1, the largest
-coordinate)) among the cases solved on both sides.  It exits 1 when an
-outcome or a root count differs, or a case is missing from one record.
+coordinate)) among the cases solved on both sides, and the count of cases
+whose control points are not bit-identical.  It lists every case whose scan
+record changed, with the old and new fields.  It exits 1 when an outcome,
+a root count or a scan's samples or skipped count differs, or a case is
+missing from one record.
 """
 
 import argparse
@@ -25,6 +31,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Samples per piece of the recorded scan: stripbench's SCAN_DENSITY.
+SCAN_SAMPLES = 20
 
 
 def _hex(values):
@@ -67,13 +75,17 @@ def census(seeds: int, src: Path):
                 except Exception as exc:
                     line["outcome"] = type(exc).__name__
                 else:
+                    scan = devstrip.developability_scan(patch, SCAN_SAMPLES)
                     line.update(
                         outcome="solved", roots=_hex(first.m_star_roots),
                         chosen=float(first.chosen_root).hex(),
                         lambda_star=float(first.lambda_star).hex(),
                         tau=float(first.tau).hex(),
                         base=[_hex(p) for p in patch.base.control],
-                        opposite=[_hex(p) for p in patch.opposite.control])
+                        opposite=[_hex(p) for p in patch.opposite.control],
+                        scan=[float(scan.max_residual).hex(),
+                              float(scan.argmax_u).hex(),
+                              scan.samples, scan.skipped])
                 yield line
 
 
@@ -93,7 +105,8 @@ def compare(old_path: str, new_path: str) -> int:
         changed.append(f"{case}: only in "
                        f"{old_path if case in old else new_path}")
     moves = {"root": 0.0, "lambda_star": 0.0, "tau": 0.0, "control": 0.0}
-    solved = 0
+    solved = moved_polygons = 0
+    rescanned = []
     for case in sorted(old.keys() & new.keys()):
         a, b = old[case], new[case]
         if a["outcome"] != b["outcome"]:
@@ -106,6 +119,13 @@ def compare(old_path: str, new_path: str) -> int:
             changed.append(f"{case}: {len(ra)} -> {len(rb)} roots")
             continue
         solved += 1
+        if a["scan"] != b["scan"]:
+            rescanned.append(f"{case}: scan {a['scan']} -> {b['scan']}")
+            if a["scan"][2:] != b["scan"][2:]:
+                changed.append(f"{case}: scan samples, skipped "
+                               f"{a['scan'][2:]} -> {b['scan'][2:]}")
+        moved_polygons += (a["base"], a["opposite"]) != (b["base"],
+                                                         b["opposite"])
         for x, y in zip(ra, rb):
             moves["root"] = max(moves["root"], abs(y - x) / max(1.0, abs(x)))
         for key in ("lambda_star", "tau"):
@@ -117,10 +137,12 @@ def compare(old_path: str, new_path: str) -> int:
         moves["control"] = max([moves["control"]] + [
             abs(y - x) / scale for p, q in zip(pa, pb) for x, y in zip(p, q)])
 
-    for line in changed:
+    for line in changed + rescanned:
         print(line)
     print(f"{len(old)} and {len(new)} solves, {len(changed)} changed, "
-          f"{solved} solved on both sides with the same root count")
+          f"{solved} solved on both sides with the same root count; "
+          f"{moved_polygons} with other control points, {len(rescanned)} "
+          f"with another scan record")
     print("largest relative move: " + ", ".join(
         f"{key} {value:.3g}" for key, value in moves.items()))
     return 1 if changed else 0

@@ -173,9 +173,6 @@ class KnotVector(Sequence):
             np.searchsorted(self._starts, values, side="right") - 1, 0)
         return int(pieces) if values.ndim == 0 else pieces
 
-    def multiplicity(self, value: float) -> int:
-        return sum(1 for u in self._knots if abs(u - value) <= self._tol)
-
     def inner_values(self) -> tuple[float, ...]:
         """Distinct knot values inside the domain, ascending: the first knot
         of every run whose neighbours lie within the knot tolerance, so
@@ -200,20 +197,6 @@ class KnotVector(Sequence):
         return self._spans[np.atleast_1d(self.piece_for(u))]
 
     # -- refinement -----------------------------------------------------
-
-    def insert(self, u_new: float) -> "KnotVector":
-        """Knot list with one copy of u_new added (strictly inside the domain)."""
-        a, b = self.domain
-        u_new = float(u_new)
-        if not (a + self._tol < u_new < b - self._tol):
-            raise ValueError(f"inserted knot {u_new} is not strictly inside [{a}, {b}]")
-        if self.multiplicity(u_new) >= self._degree:
-            raise ValueError(
-                f"inserting {u_new} would raise its multiplicity above the degree"
-            )
-        new = list(self._knots)
-        bisect.insort(new, u_new)
-        return KnotVector(new, self._degree)
 
     def elevated(self) -> "KnotVector":
         """Knot list for the degree-elevated curve.
@@ -293,81 +276,17 @@ class BSplineCurve:
 
     # -- evaluation -------------------------------------------------------
 
-    def _de_boor(self, spans: np.ndarray, args: np.ndarray, stages: int) -> np.ndarray:
-        """The first `stages` stages of de Boor's recursion for the pieces on
-        knot spans `spans` (k,) at the rows of `args` (k, n), laid out as
-        (n+1, 3, k) with the k rows innermost; rows may mix spans.
-
-        Stage r pulls argument r in, replacing one knot of every pair that
-        brackets the span, over all k rows at once.
-        """
-        n = self.degree
-        kn = self._knots._array
-        first = spans - n  # pts[i] starts as control point first + 1 + i
-        pts = self._control[first + np.arange(1, n + 2)[:, None]].transpose(0, 2, 1).copy()
-        for r in range(1, stages + 1):
-            i = np.arange(r, n + 1)[:, None]
-            lo = kn[first + i]
-            hi = kn[first + i + n + 1 - r]
-            w = ((args[:, r - 1] - lo) / (hi - lo))[:, None, :]
-            pts[r:] = (1.0 - w) * pts[r - 1 : n] + w * pts[r:]
-        return pts
-
-    def _blossoms(self, spans: np.ndarray, args: np.ndarray) -> np.ndarray:
-        """Polar forms of the pieces on knot spans `spans` (k,) at the rows
-        of `args` (k, n), as (k, 3) points; rows may mix spans."""
-        return np.ascontiguousarray(self._de_boor(spans, args, self.degree)[-1].T)
-
-    def _dropped_blossoms(self, spans: np.ndarray, args: np.ndarray) -> np.ndarray:
-        """Polar forms at every row of `args` (k, m) with one argument
-        dropped, as (m, k, 3): slice j drops argument j.  All m·k windows go
-        through one kernel call; spans (k,) name each row's piece."""
-        m = args.shape[1]
-        # row j of keep lists the argument indices other than j, ascending
-        slot = np.arange(m - 1)
-        keep = slot + (slot >= np.arange(m)[:, None])
-        windows = args[:, keep].transpose(1, 0, 2).reshape(-1, m - 1)
-        return self._blossoms(np.tile(spans, m), windows).reshape(m, len(args), 3)
-
-    def _point_and_velocity(self, spans: np.ndarray, us: np.ndarray):
-        """Points c(u) and one-sided velocities c'(u) at the (k,) parameters
-        `us` on knot spans `spans`, each as (k, 3), from one de Boor triangle.
-
-        The n-1 stages at u are shared; the last stage gives the point, and
-        the two points it blends give the velocity n (P1 - P0) / (t1 - t0),
-        which is the blossom difference at (u, ..., u, t1) and (u, ..., u, t0)
-        since those last stages blend with weights exactly 1 and 0."""
-        n = self.degree
-        pts = self._de_boor(spans, np.repeat(us[:, None], n - 1, axis=1), n - 1)
-        t0, t1 = self._knots._array[spans], self._knots._array[spans + 1]
-        w = (us - t0) / (t1 - t0)
-        point = (1.0 - w) * pts[n - 1] + w * pts[n]
-        velocity = n * (pts[n] - pts[n - 1]) / (t1 - t0)
-        return np.ascontiguousarray(point.T), np.ascontiguousarray(velocity.T)
-
     def evaluate(self, u) -> np.ndarray:
         """Curve point c(u); the diagonal of the blossom.
 
         A 1-D array of k parameters gives a (k, 3) array of points."""
-        us = np.asarray(u, dtype=float)
-        points = self._point_and_velocity(self._knots._spans_for(us), us.reshape(-1))[0]
-        return points if us.ndim else points[0]
+        return _evaluate(self._knots, self._control, u)
 
     def derivative_at(self, u) -> np.ndarray:
         """Velocity c'(u), one-sided on the piece containing u.
 
         A 1-D array of k parameters gives a (k, 3) array of velocities."""
-        us = np.asarray(u, dtype=float)
-        velocity = self._point_and_velocity(self._knots._spans_for(us), us.reshape(-1))[1]
-        return velocity if us.ndim else velocity[0]
-
-    # -- refinement ---------------------------------------------------------
-
-    def insert_knot(self, u_new: float) -> "BSplineCurve":
-        """Same point set with one more knot and one more control point."""
-        new_knots = self._knots.insert(u_new)
-        return BSplineCurve(new_knots,
-                            self._blossoms(*_windows(new_knots, self._knots)))
+        return _evaluate(self._knots, self._control, u, part=1)
 
     def elevate_degree(self) -> "BSplineCurve":
         """Same point set as a curve of degree n+1.
@@ -379,9 +298,84 @@ class BSplineCurve:
         new_knots = self._knots.elevated()
         spans, args = _windows(new_knots, self._knots)
         total = np.zeros((len(args), 3))
-        for part in self._dropped_blossoms(spans, args):
+        for part in _dropped_blossoms(self._knots, self._control, spans, args):
             total += part
         return BSplineCurve(new_knots, total / (self.degree + 1))
+
+
+# ---------------------------------------------------------------------------
+# The de Boor kernel over an (L+1, c) block of control columns: one curve's
+# polygon, or np.hstack of both boundary polygons of a patch.  Knot gathers
+# and blend weights are shared by all c columns, and each column gets the
+# same floating-point operations as alone, so results match bit for bit.
+
+
+def _de_boor(knots: KnotVector, control: np.ndarray, spans: np.ndarray,
+             args: np.ndarray, stages: int) -> np.ndarray:
+    """The first `stages` stages of de Boor's recursion for the pieces on
+    knot spans `spans` (k,) at the rows of `args` (k, n), laid out as
+    (n+1, c, k) with the k rows innermost; rows may mix spans.
+
+    Stage r pulls argument r in, replacing one knot of every pair that
+    brackets the span, over all k rows and c columns at once.
+    """
+    n = knots.degree
+    # pts[i] starts as control point first + 1 + i, and kn[j] is knot
+    # first + 1 + j: stage r blends pts[i] over knots kn[i-1], kn[i+n-r]
+    first = spans - n
+    kn = knots._array[first + np.arange(1, 2 * n + 1)[:, None]]
+    pts = control[first + np.arange(1, n + 2)[:, None]].transpose(0, 2, 1).copy()
+    for r in range(1, stages + 1):
+        lo, hi = kn[r - 1 : n], kn[n : 2 * n + 1 - r]
+        w = ((args[:, r - 1] - lo) / (hi - lo))[:, None, :]
+        pts[r:] = (1.0 - w) * pts[r - 1 : n] + w * pts[r:]
+    return pts
+
+
+def _blossoms(knots: KnotVector, control: np.ndarray, spans: np.ndarray,
+              args: np.ndarray) -> np.ndarray:
+    """Polar forms of the pieces on knot spans `spans` (k,) at the rows
+    of `args` (k, n), as (k, c); rows may mix spans."""
+    return np.ascontiguousarray(_de_boor(knots, control, spans, args, knots.degree)[-1].T)
+
+
+def _dropped_blossoms(knots: KnotVector, control: np.ndarray,
+                      spans: np.ndarray, args: np.ndarray) -> np.ndarray:
+    """Polar forms at every row of `args` (k, m) with one argument
+    dropped, as (m, k, c): slice j drops argument j.  All m·k windows go
+    through one kernel call; spans (k,) name each row's piece."""
+    m = args.shape[1]
+    # row j of keep lists the argument indices other than j, ascending
+    slot = np.arange(m - 1)
+    keep = slot + (slot >= np.arange(m)[:, None])
+    windows = args[:, keep].transpose(1, 0, 2).reshape(-1, m - 1)
+    return _blossoms(knots, control, np.tile(spans, m), windows).reshape(m, len(args), -1)
+
+
+def _point_and_velocity(knots: KnotVector, control: np.ndarray,
+                        spans: np.ndarray, us: np.ndarray):
+    """Points c(u) and one-sided velocities c'(u) at the (k,) parameters
+    `us` on knot spans `spans`, each as (k, c), from one de Boor triangle.
+
+    The n-1 stages at u are shared; the last stage gives the point, and
+    the two points it blends give the velocity n (P1 - P0) / (t1 - t0),
+    which is the blossom difference at (u, ..., u, t1) and (u, ..., u, t0)
+    since those last stages blend with weights exactly 1 and 0."""
+    n = knots.degree
+    pts = _de_boor(knots, control, spans, np.repeat(us[:, None], n - 1, axis=1), n - 1)
+    t0, t1 = knots._array[spans], knots._array[spans + 1]
+    w = (us - t0) / (t1 - t0)
+    point = (1.0 - w) * pts[n - 1] + w * pts[n]
+    velocity = n * (pts[n] - pts[n - 1]) / (t1 - t0)
+    return np.ascontiguousarray(point.T), np.ascontiguousarray(velocity.T)
+
+
+def _evaluate(knots: KnotVector, control: np.ndarray, u, part: int = 0):
+    """Points (part 0) or velocities (part 1) of the control block at a
+    scalar u, as (c,), or at a 1-D array of k parameters, as (k, c)."""
+    us = np.asarray(u, dtype=float)
+    values = _point_and_velocity(knots, control, knots._spans_for(us), us.reshape(-1))[part]
+    return values if us.ndim else values[0]
 
 
 def _windows(target: KnotVector,

@@ -8,6 +8,7 @@ whose every sampled ruling is collapsed, which leaves no verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ VERIFY_TOL = 1e-8
 REPORT_SAMPLES_PER_PIECE = 100
 
 
+@functools.cache  # built on the first run_cli call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="devstrip",
@@ -142,9 +144,8 @@ def _cmd_elevate(args: argparse.Namespace) -> int:
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     handlers = {"solve": _cmd_solve, "verify": _cmd_verify,

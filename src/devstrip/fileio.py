@@ -330,7 +330,7 @@ def parse_solution(contents: str) -> RuledPatch:
     opposite = _as_points(_require(doc, "opposite_control", "surface"),
                           "surface.opposite_control")
     base_curve = BSplineCurve(knots, base, degree)
-    opp_curve = BSplineCurve(knots, opposite, degree)
+    opp_curve = BSplineCurve(base_curve.knots, opposite)
     lambda_star = doc.get("lambda_star")
     m_star = doc.get("m_star")
     if lambda_star is not None and m_star is not None:

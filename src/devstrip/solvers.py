@@ -24,7 +24,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebroots, chebvander
 
-from .bspline import BSplineCurve, KnotVector, _windows, as_point3
+from .bspline import (BSplineCurve, KnotVector, _dropped_blossoms, _windows,
+                      as_point3)
 from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
                      InfeasibleProblemError, PlanarSurfaceError)
 from .fileio import ProblemSpec
@@ -520,12 +521,14 @@ def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve,
     The product raises the degree by one; its blossom averages, over which
     argument feeds f, the blend of the two n-ary blossoms at the other
     arguments.  Those dropped-argument blossoms of the base are the ones its
-    plain degree raise averages, so one kernel call per curve serves both."""
+    plain degree raise averages, so one kernel call over both polygons
+    serves both curves."""
     n = base.degree
     knots = base.knots.elevated()
     spans, args = _windows(knots, base.knots)
-    opp = opposite._dropped_blossoms(spans, args)
-    own = base._dropped_blossoms(spans, args)
+    both = _dropped_blossoms(base.knots, np.hstack((base.control, opposite.control)),
+                             spans, args)
+    own, opp = both[..., :3], both[..., 3:]
     f = scaling(args)
     elevated = np.zeros((len(args), 3))
     moved = np.zeros((len(args), 3))

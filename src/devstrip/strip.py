@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bspline import BSplineCurve, as_point3, _row_norms
+from .bspline import BSplineCurve, as_point3, _evaluate, _row_norms
 
 # Strips are rejected when the control relation defect exceeds this.
 CONTROL_RELATION_TOL = 1e-9
@@ -56,15 +56,13 @@ class RuledPatch:
         u and v is a scalar or 1-D; arrays give the grid of points, shaped
         u.shape + v.shape + (3,).
         """
-        c, d = self._base.evaluate(u), self._opposite.evaluate(u)
+        both = _evaluate(self.knots, np.hstack((self._base.control,
+                                                self._opposite.control)), u)
+        c, d = both[..., :3], both[..., 3:]
         v = np.asarray(v, dtype=float)
         if v.ndim:
             c, d, v = c[..., None, :], d[..., None, :], v[:, None]
         return (1.0 - v) * c + v * d
-
-    def ruling_at(self, u) -> np.ndarray:
-        """Director vector d(u) - c(u) of the ruling at u (scalar or 1-D)."""
-        return self._opposite.evaluate(u) - self._base.evaluate(u)
 
 
 class DevelopableStrip(RuledPatch):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _row_norms
+from .bspline import _point_and_velocity, _row_norms
 from .strip import RuledPatch
 
 # Rulings shorter than this fraction of the patch scale are collapsed points
@@ -35,12 +35,6 @@ class DevelopabilityScan:
     skipped: int
 
 
-def _patch_scale(patch: RuledPatch) -> float:
-    mags = [np.max(np.linalg.norm(curve.control, axis=1))
-            for curve in (patch.base, patch.opposite)]
-    return max(1.0, *mags)
-
-
 def developability_scan(patch: RuledPatch,
                         samples_per_piece: int = 100) -> DevelopabilityScan:
     """Sample the normalized tangent-plane determinant over every piece.
@@ -52,17 +46,20 @@ def developability_scan(patch: RuledPatch,
     """
     if samples_per_piece < 2:
         raise ValueError("samples_per_piece must be at least 2")
-    base, opp = patch.base, patch.opposite
-    scale = _patch_scale(patch)
+    block = np.hstack((patch.base.control, patch.opposite.control))
+    # the largest norm of a control point of either boundary, at least 1
+    scale = max(1.0, np.max(np.linalg.norm(block.reshape(-1, 3), axis=1)))
     floor = NORM_FLOOR_REL * scale
 
-    knots = base.knots
+    knots = patch.knots
     lo, hi = knots._array[knots._spans], knots._array[knots._spans + 1]
     off = KNOT_SAMPLE_OFFSET_REL * (hi - lo)
     us = np.linspace(lo + off, hi - off, samples_per_piece, axis=1).ravel()
-    spans = knots._spans_for(us)
-    c, cv = base._point_and_velocity(spans, us)
-    d, dv = opp._point_and_velocity(spans, us)
+    # each sample lies inside its own piece, so its span needs no search
+    spans = np.repeat(knots._spans, samples_per_piece)
+    points, velocities = _point_and_velocity(knots, block, spans, us)
+    c, d = points[:, :3], points[:, 3:]
+    cv, dv = velocities[:, :3], velocities[:, 3:]
     ruling = d - c
     r_len = _row_norms(ruling)
     kept = ~(r_len < COLLAPSED_RULING_REL * scale)

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from devstrip import BSplineCurve, RuledPatch, planarity_report
-from devstrip.bspline import _row_norms, as_point3
+from devstrip import BSplineCurve, KnotVector, RuledPatch, planarity_report
+from devstrip.bspline import (_blossoms, _dropped_blossoms,
+                              _point_and_velocity, _row_norms, _windows,
+                              as_point3)
 from devstrip.strip import POLE_GUARD_REL
 from devstrip.verify import (COLLAPSED_RULING_REL, KNOT_SAMPLE_OFFSET_REL,
                              NORM_FLOOR_REL, DevelopabilityScan)
@@ -38,7 +40,41 @@ def blossom(curve, piece, args):
     """Polar form c[v_1..v_n] of the curve's polynomial piece `piece`: one
     row of the batched kernel.  Arguments may lie outside the piece."""
     span = curve.knots._span_index(piece)
-    return curve._blossoms(np.array([span]), np.array([args], dtype=float))[0]
+    return _blossoms(curve.knots, curve.control, np.array([span]),
+                     np.array([args], dtype=float))[0]
+
+
+def knot_multiplicity(knots, value):
+    """Copies of `value` in the knot list, within the knot tolerance."""
+    return sum(1 for u in knots if abs(u - value) <= knots.knot_tolerance)
+
+
+def inserted_knots(knots, u_new):
+    """Knot list with one copy of u_new added (strictly inside the domain)."""
+    a, b = knots.domain
+    tol = knots.knot_tolerance
+    u_new = float(u_new)
+    if not (a + tol < u_new < b - tol):
+        raise ValueError(f"inserted knot {u_new} is not strictly inside [{a}, {b}]")
+    if knot_multiplicity(knots, u_new) >= knots.degree:
+        raise ValueError(
+            f"inserting {u_new} would raise its multiplicity above the degree")
+    new = list(knots)
+    bisect.insort(new, u_new)
+    return KnotVector(new, knots.degree)
+
+
+def insert_knot(curve, u_new):
+    """Same point set with one more knot and one more control point: every
+    knot window of the refined list through one kernel call."""
+    knots = inserted_knots(curve.knots, u_new)
+    return BSplineCurve(knots, _blossoms(curve.knots, curve.control,
+                                         *_windows(knots, curve.knots)))
+
+
+def ruling_at(patch, u):
+    """Director vector d(u) - c(u) of the ruling at u (scalar or 1-D)."""
+    return patch.opposite.evaluate(u) - patch.base.evaluate(u)
 
 
 def one_cell_planarity(cell):
@@ -170,6 +206,71 @@ def loop_developability_scan(patch, samples_per_piece=100):
                 worst = residual
                 arg = float(u)
     return DevelopabilityScan(worst, arg, taken, skipped)
+
+
+# ---------------------------------------------------------------------------
+# Per-curve references.  The scan, the OBJ grid and the rescale evaluate both
+# boundaries of a patch in one kernel call over the two polygons side by
+# side; these evaluate each boundary with its own call, as separate curves,
+# and the tests compare the two with ==.
+
+
+def per_curve_scan(patch, samples_per_piece):
+    """developability_scan with one evaluation pass per boundary, at spans
+    found by searching the knots."""
+    base, opp = patch.base, patch.opposite
+    scale = max(1.0, *[np.max(np.linalg.norm(curve.control, axis=1))
+                       for curve in (base, opp)])
+    floor = NORM_FLOOR_REL * scale
+    knots = base.knots
+    lo, hi = knots._array[knots._spans], knots._array[knots._spans + 1]
+    off = KNOT_SAMPLE_OFFSET_REL * (hi - lo)
+    us = np.linspace(lo + off, hi - off, samples_per_piece, axis=1).ravel()
+    spans = knots._spans_for(us)
+    c, cv = _point_and_velocity(knots, base.control, spans, us)
+    d, dv = _point_and_velocity(knots, opp.control, spans, us)
+    ruling = d - c
+    r_len = _row_norms(ruling)
+    kept = ~(r_len < COLLAPSED_RULING_REL * scale)
+    skipped = len(us) - int(np.count_nonzero(kept))
+    us, ruling, r_len, cv, dv = us[kept], ruling[kept], r_len[kept], cv[kept], dv[kept]
+    det = np.linalg.det(np.stack((cv, dv, ruling), axis=-1))
+    denom = (np.maximum(_row_norms(cv), floor)
+             * np.maximum(_row_norms(dv), floor)
+             * np.maximum(r_len, floor))
+    residual = np.concatenate(([0.0], np.abs(det) / denom))
+    residual[~(residual > 0.0)] = 0.0
+    worst = int(np.argmax(residual))
+    arg = float(us[worst - 1]) if worst else patch.domain[0]
+    return DevelopabilityScan(float(residual[worst]), arg, len(us), skipped)
+
+
+def per_curve_ruled_eval(patch, u, v):
+    """RuledPatch.ruled_eval from each boundary's own evaluate."""
+    c, d = patch.base.evaluate(u), patch.opposite.evaluate(u)
+    v = np.asarray(v, dtype=float)
+    if v.ndim:
+        c, d, v = c[..., None, :], d[..., None, :], v[:, None]
+    return (1.0 - v) * c + v * d
+
+
+def per_curve_rescaled_pair(base, opposite, scaling):
+    """Control polygons of solvers._rescaled_pair, with one dropped-blossom
+    call per boundary."""
+    n = base.degree
+    knots = base.knots.elevated()
+    spans, args = _windows(knots, base.knots)
+    opp = _dropped_blossoms(base.knots, opposite.control, spans, args)
+    own = _dropped_blossoms(base.knots, base.control, spans, args)
+    f = scaling(args)
+    elevated = np.zeros((len(args), 3))
+    moved = np.zeros((len(args), 3))
+    for j in range(n + 1):
+        elevated += own[j]
+        f_j = f[:, j, None]
+        moved += f_j * opp[j]
+        moved += (1.0 - f_j) * own[j]
+    return elevated / (n + 1), moved / (n + 1)
 
 
 def loop_propagate_polygon(c, d0, lambda_star, m_star):

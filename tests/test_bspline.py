@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from devstrip import AffineScaling, BSplineCurve, KnotVector
-from devstrip.bspline import _windows, as_point3
+from devstrip import (AffineScaling, BSplineCurve, KnotVector, RuledPatch,
+                      developability_scan, export_obj)
+from devstrip import bspline
+from devstrip.bspline import _blossoms, _windows, as_point3
 from devstrip.solvers import _rescaled_pair
 
 import reference as ref
-from helpers import assert_point_close, assert_polygon_close, blossom
+from helpers import (assert_point_close, assert_polygon_close, blossom,
+                     insert_knot, inserted_knots)
 
 
 class TestKnotVector:
@@ -70,20 +73,20 @@ class TestKnotVector:
             kv.piece_for(1.1)
 
     def test_insert(self):
-        kv = KnotVector(ref.CUBIC_KNOTS, 3).insert(0.5)
+        kv = inserted_knots(KnotVector(ref.CUBIC_KNOTS, 3), 0.5)
         assert list(kv) == [0, 0, 0, 0.3, 0.5, 0.7, 1, 1, 1]
         assert kv.pieces == 4
 
     def test_insert_outside_domain_rejected(self):
         kv = KnotVector(ref.CUBIC_KNOTS, 3)
         with pytest.raises(ValueError):
-            kv.insert(1.5)
+            inserted_knots(kv, 1.5)
 
     def test_insert_beyond_multiplicity_rejected(self):
         kv = KnotVector(ref.CUBIC_KNOTS, 3)
-        full = kv.insert(0.3).insert(0.3)
+        full = inserted_knots(inserted_knots(kv, 0.3), 0.3)
         with pytest.raises(ValueError, match="multiplicity"):
-            full.insert(0.3)
+            inserted_knots(full, 0.3)
 
     def test_elevated_bumps_inner_multiplicities_only(self):
         kv = KnotVector([-1.0, 0.0, 1.0, 2.0, 3.0, 4.0], 2)
@@ -218,18 +221,19 @@ class TestDerivative:
 class TestInsertKnot:
 
     def test_split_to_full_multiplicity(self, cubic_curve):
-        split = (cubic_curve.insert_knot(0.3).insert_knot(0.3)
-                 .insert_knot(0.7).insert_knot(0.7))
+        split = cubic_curve
+        for u in (0.3, 0.3, 0.7, 0.7):
+            split = insert_knot(split, u)
         assert_polygon_close(split.control, ref.CUBIC_SPLIT_C, 0.01)
 
     def test_midpoint_in_linear_curve(self):
         seg = BSplineCurve([0.0, 1.0], [(0, 0, 0), (2, 2, 2)], 1)
-        out = seg.insert_knot(0.5)
+        out = insert_knot(seg, 0.5)
         assert_polygon_close(out.control, [(0, 0, 0), (1, 1, 1), (2, 2, 2)],
                              1e-15)
 
     def test_preserves_point_set(self, cubic_curve):
-        out = cubic_curve.insert_knot(0.55)
+        out = insert_knot(cubic_curve, 0.55)
         scale = float(np.max(np.abs(cubic_curve.control)))
         for u in np.linspace(0.0, 1.0, 200):
             assert np.linalg.norm(out.evaluate(u) - cubic_curve.evaluate(u)) \
@@ -262,24 +266,27 @@ class TestReexpression:
 
     def test_roundtrip_over_own_knots(self, cubic_curve):
         knots = cubic_curve.knots
-        rebuilt = cubic_curve._blossoms(*_windows(knots, knots))
+        rebuilt = _blossoms(knots, cubic_curve.control,
+                            *_windows(knots, knots))
         assert_polygon_close(rebuilt, cubic_curve.control, 1e-12)
 
 
 class TestKernelCalls:
     """Re-expressing a curve sends all its knot windows, or all their
-    dropped-argument windows, through one de Boor kernel call per curve."""
+    dropped-argument windows, through one de Boor kernel call.  The rescale,
+    the developability scan and the OBJ export make one call per patch,
+    over both boundary polygons side by side (six control columns)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counted = []
-        kernel = BSplineCurve._de_boor
+        kernel = bspline._de_boor
 
-        def wrapped(curve, *args):
-            counted.append(curve)
-            return kernel(curve, *args)
+        def wrapped(knots, control, *args):
+            counted.append(control.shape[1])
+            return kernel(knots, control, *args)
 
-        monkeypatch.setattr(BSplineCurve, "_de_boor", wrapped)
+        monkeypatch.setattr(bspline, "_de_boor", wrapped)
         return counted
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
@@ -288,12 +295,19 @@ class TestKernelCalls:
         knots = [0.0] * degree + [0.3, 0.5, 0.8] + [1.0] * degree
         base, opposite = (BSplineCurve(knots, rng.uniform(-1.0, 1.0, (
             len(knots) - degree + 1, 3)), degree) for _ in range(2))
+        patch = RuledPatch(base, opposite)
 
         base.elevate_degree()
-        assert calls == [base]
+        assert calls == [3]
         calls.clear()
-        base.insert_knot(0.4)
-        assert calls == [base]
+        insert_knot(base, 0.4)
+        assert calls == [3]
         calls.clear()
         _rescaled_pair(base, opposite, AffineScaling(0.7, -0.2))
-        assert sorted(map(id, calls)) == sorted(map(id, (base, opposite)))
+        assert calls == [6]
+        calls.clear()
+        developability_scan(patch, 20)
+        assert calls == [6]
+        calls.clear()
+        export_obj(patch)
+        assert calls == [6]

@@ -29,11 +29,14 @@ from devstrip import (
 from devstrip.solvers import _rescaled_pair
 
 import reference as ref
+from devstrip.bspline import _blossoms, _dropped_blossoms
 from helpers import (assert_point_close, blossom, curves_pointwise_equal,
-                     loop_blossom_on_span, loop_control_relation_residuals,
-                     loop_derivative_at, loop_evaluate,
-                     loop_planarity_report, loop_propagate_polygon,
-                     loop_span_for, loop_window_span, one_cell_planarity)
+                     insert_knot, knot_multiplicity, loop_blossom_on_span,
+                     loop_control_relation_residuals, loop_derivative_at,
+                     loop_evaluate, loop_planarity_report,
+                     loop_propagate_polygon, loop_span_for, loop_window_span,
+                     one_cell_planarity, per_curve_rescaled_pair,
+                     per_curve_ruled_eval, per_curve_scan)
 
 coordinates = st.floats(-10.0, 10.0, allow_nan=False, width=64)
 points = st.tuples(coordinates, coordinates, coordinates)
@@ -84,6 +87,18 @@ def curve_pairs_on_any_knots(draw) -> tuple[BSplineCurve, BSplineCurve]:
     polygons = rng.uniform(-10.0, 10.0, (2, len(knots) - degree + 1, 3))
     return (BSplineCurve(knots, polygons[0], degree),
             BSplineCurve(knots, polygons[1], degree))
+
+
+@st.composite
+def patches_with_collapsed_rulings(draw) -> RuledPatch:
+    """A patch over curve_pairs_on_any_knots whose opposite polygon repeats
+    a drawn head of the base polygon (none, some or all of it), so the
+    rulings over the leading pieces collapse to points."""
+    base, opposite = draw(curve_pairs_on_any_knots())
+    shared = draw(st.integers(0, len(base.control)))
+    control = np.array(opposite.control)
+    control[:shared] = base.control[:shared]
+    return RuledPatch(base, BSplineCurve(base.knots, control))
 
 
 def scale_of(*curves) -> float:
@@ -147,14 +162,14 @@ class TestBatchedEvaluator:
         args = rng.uniform(a - width, b + width, (k, n + 1))
         spans = [loop_span_for(knots, u) for u in u_refs]
 
-        got = base._blossoms(np.array(spans), args[:, :n])
+        got = _blossoms(knots, base.control, np.array(spans), args[:, :n])
         want = [loop_blossom_on_span(base, j, row[:n])
                 for j, row in zip(spans, args)]
         assert np.array_equal(got, want)
         piece = knots.piece_for(u_refs[0])
         assert np.array_equal(blossom(base, piece, args[0, :n]), want[0])
 
-        dropped = base._dropped_blossoms(np.array(spans), args)
+        dropped = _dropped_blossoms(knots, base.control, np.array(spans), args)
         for drop in range(n + 1):
             rest = np.delete(args, drop, axis=1)
             assert np.array_equal(dropped[drop], [
@@ -183,6 +198,35 @@ class TestBatchedEvaluator:
             assert np.array_equal(same.control[i], total / (n + 1))
             assert np.array_equal(blended.control[i], mixed / (n + 1))
 
+    @settings(max_examples=80, deadline=None)
+    @given(patches_with_collapsed_rulings(), st.data())
+    def test_patch_paths_match_the_per_curve_reference(self, patch, data):
+        # the scan, the OBJ grid and the rescale evaluate both boundaries in
+        # one kernel call; each boundary alone gives the same bits
+        base, opposite = patch.base, patch.opposite
+        knots = base.knots
+        a, b = patch.domain
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        samples = data.draw(st.integers(2, 12))
+        assert developability_scan(patch, samples) == \
+            per_curve_scan(patch, samples)
+
+        # parameters anywhere in the domain, on its ends and on inner knots
+        us = np.concatenate((rng.uniform(a, b, data.draw(st.integers(0, 6))),
+                             knots.inner_values()))
+        vs = rng.uniform(-0.5, 1.5, data.draw(st.integers(1, 4)))
+        assert np.array_equal(patch.ruled_eval(us, vs),
+                              per_curve_ruled_eval(patch, us, vs))
+        u0, v0 = float(us[0]), float(vs[0])
+        assert np.array_equal(patch.ruled_eval(u0, v0),
+                              per_curve_ruled_eval(patch, u0, v0))
+
+        scaling = AffineScaling(*rng.uniform(-2.0, 2.0, 2))
+        elevated, moved = _rescaled_pair(base, opposite, scaling)
+        want = per_curve_rescaled_pair(base, opposite, scaling)
+        assert np.array_equal(elevated.control, want[0])
+        assert np.array_equal(moved.control, want[1])
+
     @settings(max_examples=60, deadline=None)
     @given(curve_pairs_on_any_knots(), st.data())
     def test_insert_knot_matches_the_loop(self, pair, data):
@@ -193,7 +237,7 @@ class TestBatchedEvaluator:
         u = data.draw(st.floats(0.01, 0.99).map(lambda t: a + t * (b - a))
                       | st.sampled_from(knots.inner_values()))
         try:
-            refined = base.insert_knot(u)
+            refined = insert_knot(base, u)
         except ValueError:
             assume(False)
         new = refined.knots
@@ -260,8 +304,8 @@ class TestPointSetPreservation:
         curve, u = drawn
         a, b = curve.domain
         assume(min(u - a, b - u) > 1e-3 * (b - a))
-        assume(curve.knots.multiplicity(u) == 0)
-        refined = curve.insert_knot(u)
+        assume(knot_multiplicity(curve.knots, u) == 0)
+        refined = insert_knot(curve, u)
         assert len(refined.control) == len(curve.control) + 1
         assert curves_pointwise_equal(curve, refined, samples=60) <= \
             1e-9 * scale_of(curve)
@@ -301,9 +345,9 @@ class TestPropagation:
     def test_relation_survives_knot_insertion(self, curve, d0, lam, m, t):
         a, b = curve.domain
         u = a + t * (b - a)
-        assume(curve.knots.multiplicity(u) == 0)
+        assume(knot_multiplicity(curve.knots, u) == 0)
         opposite = propagate_polygon(curve, d0, lam, m)
-        c2, d2 = curve.insert_knot(u), opposite.insert_knot(u)
+        c2, d2 = insert_knot(curve, u), insert_knot(opposite, u)
         residuals = control_relation_residuals(c2, d2, lam, m)
         assert float(np.max(residuals)) <= 1e-9
 

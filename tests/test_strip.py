@@ -13,8 +13,8 @@ from devstrip import (
 )
 
 import reference as ref
-from helpers import (assert_point_close, assert_polygon_close,
-                     one_cell_planarity)
+from helpers import (assert_point_close, assert_polygon_close, insert_knot,
+                     one_cell_planarity, ruling_at)
 
 
 class TestRuledPatch:
@@ -43,7 +43,7 @@ class TestRuledPatch:
         u = 0.3
         expected = (quad_strip.opposite.evaluate(u)
                     - quad_strip.base.evaluate(u))
-        assert_point_close(quad_strip.ruling_at(u), expected, 1e-14)
+        assert_point_close(ruling_at(quad_strip, u), expected, 1e-14)
 
     def test_domain_comes_from_the_base(self, quad_strip):
         assert quad_strip.domain == (0.0, 1.0)
@@ -159,13 +159,13 @@ class TestDevelopableStrip:
 
     def test_zero_width_strip_is_valid(self, cubic_curve):
         strip = DevelopableStrip(cubic_curve, cubic_curve, -2.0, -2.0)
-        assert_point_close(strip.ruling_at(0.5), (0.0, 0.0, 0.0), 0.0)
+        assert_point_close(ruling_at(strip, 0.5), (0.0, 0.0, 0.0), 0.0)
 
     def test_knot_insertion_preserves_the_strip(self, quad_strip):
         # inserting the same knot into both boundaries leaves the surface
         # unchanged, so the refined net must satisfy the same relation
-        c = quad_strip.base.insert_knot(0.5)
-        d = quad_strip.opposite.insert_knot(0.5)
+        c = insert_knot(quad_strip.base, 0.5)
+        d = insert_knot(quad_strip.opposite, 0.5)
         refined = DevelopableStrip(c, d, ref.QUAD_LAMBDA, ref.QUAD_M)
         for u in (0.0, 0.3, 0.5, 0.7, 1.0):
             for v in (0.0, 0.5, 1.0):

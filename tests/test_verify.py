@@ -19,7 +19,7 @@ from devstrip import (
 
 import reference as ref
 from helpers import (assert_point_close, curves_pointwise_equal,
-                     loop_developability_scan)
+                     insert_knot, loop_developability_scan)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -111,7 +111,7 @@ class TestDevelopabilityScan:
 class TestCurvesPointwiseEqual:
 
     def test_insertion_preserves_the_point_set(self, cubic_curve):
-        refined = cubic_curve.insert_knot(0.5).insert_knot(0.12)
+        refined = insert_knot(insert_knot(cubic_curve, 0.5), 0.12)
         assert curves_pointwise_equal(cubic_curve, refined) <= 1e-12
 
     def test_elevation_preserves_the_point_set(self, cubic_curve):
