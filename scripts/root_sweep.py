@@ -63,13 +63,13 @@ def main(argv=None):
         problem = turned(spec, theta)
         label = f"{math.degrees(theta):6.1f}"
         try:
-            first = solve_spec(problem).problem1
+            first = solve_spec(problem)
         except (InfeasibleProblemError, DegenerateCaseError) as exc:
             rejected.append((label, str(exc)))
             continue
         for index in range(len(first.m_star_roots)):
             sol = (first if index == 0 else
-                   solve_spec(replace(problem, root_choice=index)).problem1)
+                   solve_spec(replace(problem, root_choice=index)))
             scan = developability_scan(sol.strip, args.samples)
             print(f"{label}  {index:>4}  {sol.chosen_root:10.4f}"
                   f"  {sol.lambda_star:10.4f}  {sol.tau:10.4f}"

@@ -40,19 +40,24 @@ def _hex(values):
 
 
 def _solve(devstrip, case):
-    """The problem-1 solve behind the case and its final patch."""
+    """The solve record of the case and its final patch."""
     kind, plant, curve = (case.payload[k] for k in ("kind", "plant", "curve"))
     if kind == "problem1":
         sol = devstrip.solve_problem1(curve, plant.v, plant.w, d0=plant.d0)
-        return sol, sol.strip
-    if kind == "problem2":
+        patch = sol.strip
+    elif kind == "problem2":
         sol = devstrip.solve_problem2(curve, plant.d0, plant.dL)
-        return sol.problem1, devstrip.RuledPatch(sol.elevated_c,
-                                                 sol.elevated_d)
-    sol = devstrip.solve_problem3(curve, plant.dL,
-                                  case.payload["apex_velocity"])
-    return sol.problem2.problem1, devstrip.RuledPatch(sol.final_c,
-                                                      sol.final_d)
+        patch = devstrip.RuledPatch(sol.elevated_c, sol.elevated_d)
+    else:
+        sol = devstrip.solve_problem3(curve, plant.dL,
+                                      case.payload["apex_velocity"])
+        patch = devstrip.RuledPatch(sol.final_c, sol.final_d)
+    # A --src older than the one solve record nests the two-ruling solve
+    # that holds the roots; this fallback goes once the compared base has
+    # the record.
+    for nested in ("problem2", "problem1"):
+        sol = getattr(sol, nested, sol)
+    return sol, patch
 
 
 def census(seeds: int, src: Path):

@@ -35,20 +35,21 @@ def main(argv=None):
         spec = parse_problem(path.read_text())
         t0 = time.perf_counter()
         try:
-            patch, inner, _ = solve_spec(spec)
+            solution = solve_spec(spec)
         except (InfeasibleProblemError, DegenerateCaseError) as exc:
             print(f"{path.name}: rejected ({exc})")
             continue
         elapsed = time.perf_counter() - t0
+        patch = solution.patch
 
         scan = developability_scan(patch, args.samples)
         planarity = max(planarity_report(patch))
         print(f"{path.name}: {spec.problem_kind}  degree {patch.base.degree}"
               f"  {elapsed * 1e3:.1f} ms")
-        print(f"  roots {[round(float(r), 4) for r in inner.m_star_roots]}"
-              f"  chosen m* = {inner.chosen_root:.6g}"
-              f"  lambda* = {inner.lambda_star:.6g}"
-              f"  tau = {inner.tau:.6g}")
+        print(f"  roots {[round(float(r), 4) for r in solution.m_star_roots]}"
+              f"  chosen m* = {solution.chosen_root:.6g}"
+              f"  lambda* = {solution.lambda_star:.6g}"
+              f"  tau = {solution.tau:.6g}")
         print(f"  developability {scan.max_residual:.3e}"
               f" ({scan.samples} samples, {scan.skipped} skipped)"
               f"  planarity {planarity:.3e}")

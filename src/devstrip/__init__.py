@@ -17,10 +17,8 @@ from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
 from .fileio import (ProblemSpec, SolveReport, export_obj, parse_curve,
                      parse_problem, parse_solution, serialize_curve,
                      serialize_problem, serialize_solution)
-from .solvers import (AffineScaling, Problem1Solution, Problem2Solution,
-                      Problem3Solution, Solved, apex_direction,
-                      solve_problem1, solve_problem2, solve_problem3,
-                      solve_spec)
+from .solvers import (Solution, apex_direction, solve_problem1,
+                      solve_problem2, solve_problem3, solve_spec)
 from .strip import (DevelopableStrip, RuledPatch, control_relation_residuals,
                     propagate_polygon)
 from .verify import (DevelopabilityScan, developability_scan,
@@ -32,10 +30,8 @@ __all__ = [
     "BSplineCurve", "KnotVector",
     "RuledPatch", "DevelopableStrip", "propagate_polygon",
     "control_relation_residuals",
-    "AffineScaling",
-    "Problem1Solution", "Problem2Solution", "Problem3Solution", "Solved",
-    "solve_problem1", "solve_problem2", "solve_problem3", "apex_direction",
-    "solve_spec",
+    "Solution", "solve_problem1", "solve_problem2", "solve_problem3",
+    "apex_direction", "solve_spec",
     "DevelopabilityScan", "developability_scan",
     "planarity_report",
     "ProblemSpec", "SolveReport", "parse_problem", "serialize_problem",

@@ -52,8 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="check a solved surface for developability")
     verify.add_argument("--surface", required=True, metavar="FILE",
                         help="solution JSON written by solve")
-    verify.add_argument("--samples", type=int, default=100, metavar="N",
-                        help="samples per piece (default: 100)")
+    verify.add_argument("--samples", type=int, default=None, metavar="N",
+                        help="samples per piece (default: "
+                             f"{REPORT_SAMPLES_PER_PIECE}, as solve's report)")
 
     elevate = sub.add_parser(
         "elevate", help="degree-elevate a curve file, print the result")
@@ -81,25 +82,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     v_samples = _positive_samples(args.v_samples, spec.v_samples,
                                   "--v-samples")
 
-    patch, inner, pinch = solve_spec(spec)
+    solution = solve_spec(spec)
+    patch = solution.patch
 
     scan = developability_scan(patch, REPORT_SAMPLES_PER_PIECE)
     report = SolveReport(
         problem_kind=spec.problem_kind,
-        roots=tuple(float(r) for r in inner.m_star_roots),
-        chosen_m_star=float(inner.chosen_root),
-        lambda_star=float(inner.lambda_star),
-        alpha=float(inner.alpha),
-        beta=float(inner.beta),
-        sigma=float(inner.sigma),
-        tau=float(inner.tau),
+        roots=tuple(float(r) for r in solution.m_star_roots),
+        chosen_m_star=float(solution.chosen_root),
+        lambda_star=float(solution.lambda_star),
+        alpha=float(solution.alpha),
+        beta=float(solution.beta),
+        sigma=float(solution.sigma),
+        tau=float(solution.tau),
         base_polygon=tuple(tuple(float(x) for x in p)
                            for p in patch.base.control),
         opposite_polygon=tuple(tuple(float(x) for x in p)
                                for p in patch.opposite.control),
         max_developability=float(scan.max_residual),
         worst_cell_planarity=float(max(planarity_report(patch))),
-        pinch_u=pinch,
+        pinch_u=solution.pinch_u,
     )
 
     out = Path(args.out)
@@ -109,10 +111,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     (out / "report.json").write_text(report.as_json())
     (out / "report.txt").write_text(report.as_text())
 
-    roots_text = ", ".join(f"{r:.6g}" for r in inner.m_star_roots)
+    roots_text = ", ".join(f"{r:.6g}" for r in solution.m_star_roots)
     print(f"solved {spec.problem_kind}: admissible M* roots [{roots_text}], "
-          f"chosen M* = {inner.chosen_root:.6g}, "
-          f"lambda* = {inner.lambda_star:.6g}")
+          f"chosen M* = {solution.chosen_root:.6g}, "
+          f"lambda* = {solution.lambda_star:.6g}")
     print(f"max developability residual {scan.max_residual:.3e} "
           f"({scan.samples} samples)")
     print(f"wrote solution.json, surface.obj, report.json, report.txt "
@@ -121,8 +123,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    samples = _positive_samples(args.samples, REPORT_SAMPLES_PER_PIECE,
+                                "--samples")
     patch = parse_solution(Path(args.surface).read_text())
-    scan = developability_scan(patch, samples_per_piece=args.samples)
+    scan = developability_scan(patch, samples_per_piece=samples)
     print(f"max developability residual {scan.max_residual:.3e} "
           f"at u = {scan.argmax_u:.6g}")
     print(f"samples: {scan.samples} used, {scan.skipped} skipped "

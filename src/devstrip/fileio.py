@@ -172,13 +172,18 @@ def _parse_curve_doc(doc, where: str) -> tuple[int, tuple, tuple]:
     degree = _as_int(_require(doc, "degree", where), f"{where}.degree", 1)
     knots = _as_knots(_require(doc, "knots", where), f"{where}.knots")
     control = _as_points(_require(doc, "control", where), f"{where}.control")
+    _check_knot_count(knots, control, degree, where)
+    return degree, knots, control
+
+
+def _check_knot_count(knots: tuple, control: tuple, degree: int,
+                      where: str) -> None:
     expected = len(control) + degree - 1
     if len(knots) not in (expected, expected + 2):
         raise ValueError(
             f"{where}: {len(control)} control points at degree {degree} "
             f"need {expected} knots (or {expected + 2} padded), "
             f"got {len(knots)}")
-    return degree, knots, control
 
 
 def parse_problem(contents: str) -> ProblemSpec:
@@ -329,6 +334,11 @@ def parse_solution(contents: str) -> RuledPatch:
                       "surface.base_control")
     opposite = _as_points(_require(doc, "opposite_control", "surface"),
                           "surface.opposite_control")
+    _check_knot_count(knots, base, degree, "surface.base_control")
+    if len(opposite) != len(base):
+        raise ValueError(
+            f"surface.opposite_control: {len(opposite)} control points, "
+            f"but surface.base_control has {len(base)}")
     base_curve = BSplineCurve(knots, base, degree)
     opp_curve = BSplineCurve(base_curve.knots, opposite)
     lambda_star = doc.get("lambda_star")

@@ -18,8 +18,8 @@ closed-form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebroots, chebvander
@@ -346,8 +346,14 @@ def _check_directions(v: np.ndarray, w: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class Problem1Solution:
-    """Everything a solve determined, including rejected root candidates."""
+class Solution:
+    """Everything a solve determined, for every problem kind.
+
+    Each kind reduces to the two-ruling solve, whose constants and strip
+    come first, rejected root candidates included.  Problem 2 adds the
+    rescaled pair at degree n+1, and problem 3 the shrunk pair at degree
+    n+2; ``patch`` is the last pair present, the surface to export and
+    verify."""
 
     m_star_roots: tuple[float, ...]
     chosen_root: float
@@ -357,6 +363,22 @@ class Problem1Solution:
     sigma: float
     tau: float
     strip: DevelopableStrip
+    elevated_c: Optional[BSplineCurve] = None
+    elevated_d: Optional[BSplineCurve] = None
+    final_c: Optional[BSplineCurve] = None
+    final_d: Optional[BSplineCurve] = None
+    # Parameter where the rescaled ruling length crosses zero (the patch
+    # pinches onto the base curve); only present for problems 2 and 3 when
+    # tau < 0.
+    pinch_u: Optional[float] = None
+
+    @property
+    def patch(self) -> RuledPatch:
+        if self.final_c is not None:
+            return RuledPatch(self.final_c, self.final_d)
+        if self.elevated_c is not None:
+            return RuledPatch(self.elevated_c, self.elevated_d)
+        return self.strip
 
 
 def _require_clamped(knots: KnotVector) -> None:
@@ -381,7 +403,7 @@ def _line_scale(offset: np.ndarray, direction: np.ndarray, what: str) -> float:
 
 
 def solve_problem1(curve: BSplineCurve, v, w, *,
-                   d0=None, dL=None, root_choice: int = 0) -> Problem1Solution:
+                   d0=None, dL=None, root_choice: int = 0) -> Solution:
     """Developable strip on ``curve`` with end rulings along v and w.
 
     Exactly one of ``d0``/``dL`` anchors an endpoint of the opposite
@@ -489,34 +511,19 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
     except ValueError as exc:
         raise InfeasibleProblemError(
             f"root M*={m0:.6g} did not produce a valid strip: {exc}") from exc
-    return Problem1Solution(tuple(roots), m0, lam, alpha, beta,
-                            float(sigma), float(tau), strip)
+    return Solution(tuple(roots), m0, lam, alpha, beta, float(sigma),
+                    float(tau), strip)
 
 
 # ---------------------------------------------------------------------------
 # Problem 2: both opposite corners prescribed
 
 
-@dataclass(frozen=True)
-class AffineScaling:
-    """Affine ruling-length profile u ↦ slope·u + intercept."""
-
-    slope: float
-    intercept: float
-
-    def __call__(self, u: float) -> float:
-        return self.slope * u + self.intercept
-
-    @classmethod
-    def through(cls, a: float, fa: float, b: float, fb: float):
-        slope = (fb - fa) / (b - a)
-        return cls(slope, fa - slope * a)
-
-
-def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve,
-                   scaling: AffineScaling) -> tuple[BSplineCurve, BSplineCurve]:
+def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve, f_a: float,
+                   f_b: float) -> tuple[BSplineCurve, BSplineCurve]:
     """Base and the moved curve (1−f(u))·base(u) + f(u)·opposite(u), both
-    at degree n+1 over the once-elevated knot list.
+    at degree n+1 over the once-elevated knot list, for the affine profile
+    f with f(a) = f_a and f(b) = f_b at the ends of the domain.
 
     The product raises the degree by one; its blossom averages, over which
     argument feeds f, the blend of the two n-ary blossoms at the other
@@ -524,12 +531,14 @@ def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve,
     plain degree raise averages, so one kernel call over both polygons
     serves both curves."""
     n = base.degree
+    a, b = base.domain
     knots = base.knots.elevated()
     spans, args = _windows(knots, base.knots)
     both = _dropped_blossoms(base.knots, np.hstack((base.control, opposite.control)),
                              spans, args)
     own, opp = both[..., :3], both[..., 3:]
-    f = scaling(args)
+    slope = (f_b - f_a) / (b - a)
+    f = slope * args + (f_a - slope * a)
     elevated = np.zeros((len(args), 3))
     moved = np.zeros((len(args), 3))
     for j in range(n + 1):
@@ -541,18 +550,8 @@ def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve,
             BSplineCurve(knots, moved / (n + 1)))
 
 
-class Problem2Solution(NamedTuple):
-    elevated_c: BSplineCurve
-    elevated_d: BSplineCurve
-    problem1: Problem1Solution
-    scaling: AffineScaling
-    # Parameter where the scaled ruling length crosses zero (the patch
-    # pinches onto the base curve); only present when tau < 0.
-    pinch_u: Optional[float]
-
-
 def solve_problem2(curve: BSplineCurve, d0, dL,
-                   root_choice: int = 0) -> Problem2Solution:
+                   root_choice: int = 0) -> Solution:
     """Developable patch between ``curve`` and prescribed corner points.
 
     Solves with ruling directions taken from the corner offsets, then
@@ -570,11 +569,11 @@ def solve_problem2(curve: BSplineCurve, d0, dL,
             "onto the curve")
 
     a, b = curve.domain
-    scaling = AffineScaling.through(a, 1.0, b, 1.0 / tau)
     elevated_c, elevated_d = _rescaled_pair(
-        curve, inner.strip.opposite, scaling)
+        curve, inner.strip.opposite, 1.0, 1.0 / tau)
     pinch = (a - tau * b) / (1.0 - tau) if tau < 0.0 else None
-    return Problem2Solution(elevated_c, elevated_d, inner, scaling, pinch)
+    return replace(inner, elevated_c=elevated_c, elevated_d=elevated_d,
+                   pinch_u=pinch)
 
 
 # ---------------------------------------------------------------------------
@@ -597,48 +596,26 @@ def apex_direction(curve: BSplineCurve, d_prime_a) -> np.ndarray:
     return v
 
 
-class Problem3Solution(NamedTuple):
-    final_c: BSplineCurve
-    final_d: BSplineCurve
-    problem2: Problem2Solution
-    apex_ruling: np.ndarray
-    shrink: AffineScaling
-
-
 def solve_problem3(curve: BSplineCurve, dL, d_prime_a,
-                   root_choice: int = 0) -> Problem3Solution:
+                   root_choice: int = 0) -> Solution:
     """Triangular developable patch: the opposite boundary starts at the
     curve's own start point with prescribed velocity and ends at dL.
 
     Solves the two-corner problem with a synthesized apex offset, then
     shrinks rulings linearly to zero at the start, which raises the
     degree once more (to n+2)."""
-    v = apex_direction(curve, d_prime_a)
-    d0 = curve.control[0] + v
+    d0 = curve.control[0] + apex_direction(curve, d_prime_a)
     wide = solve_problem2(curve, d0, as_point3(dL), root_choice=root_choice)
-
-    a, b = curve.domain
-    shrink = AffineScaling.through(a, 0.0, b, 1.0)
     final_c, final_d = _rescaled_pair(
-        wide.elevated_c, wide.elevated_d, shrink)
-    return Problem3Solution(final_c, final_d, wide, v, shrink)
+        wide.elevated_c, wide.elevated_d, 0.0, 1.0)
+    return replace(wide, final_c=final_c, final_d=final_d)
 
 
 # ---------------------------------------------------------------------------
 # one entry point for every problem kind
 
 
-class Solved(NamedTuple):
-    """A solved problem spec: the patch to export and verify, the
-    two-ruling solve every kind reduces to, and the pinch parameter of
-    problems 2 and 3 (see Problem2Solution)."""
-
-    patch: RuledPatch
-    problem1: Problem1Solution
-    pinch_u: Optional[float]
-
-
-def solve_spec(spec: ProblemSpec) -> Solved:
+def solve_spec(spec: ProblemSpec) -> Solution:
     """Dispatch a parsed problem file to its solver.
 
     The spec's own ``root_choice`` selects the root; callers that override
@@ -647,15 +624,9 @@ def solve_spec(spec: ProblemSpec) -> Solved:
     root = spec.root_choice
     if spec.problem_kind == "problem1":
         end = "d0" if spec.anchor_end == "start" else "dL"
-        inner = solve_problem1(curve, spec.v, spec.w, root_choice=root,
-                               **{end: spec.anchor_point})
-        return Solved(inner.strip, inner, None)
+        return solve_problem1(curve, spec.v, spec.w, root_choice=root,
+                              **{end: spec.anchor_point})
     if spec.problem_kind == "problem2":
-        wide = solve_problem2(curve, spec.d0, spec.dL, root_choice=root)
-        patch = RuledPatch(wide.elevated_c, wide.elevated_d)
-    else:
-        tri = solve_problem3(curve, spec.dL, spec.apex_velocity,
-                             root_choice=root)
-        wide = tri.problem2
-        patch = RuledPatch(tri.final_c, tri.final_d)
-    return Solved(patch, wide.problem1, wide.pinch_u)
+        return solve_problem2(curve, spec.d0, spec.dL, root_choice=root)
+    return solve_problem3(curve, spec.dL, spec.apex_velocity,
+                          root_choice=root)

@@ -254,7 +254,17 @@ def per_curve_ruled_eval(patch, u, v):
     return (1.0 - v) * c + v * d
 
 
-def per_curve_rescaled_pair(base, opposite, scaling):
+def ruling_profile(domain, f_a, f_b):
+    """The affine ruling-length profile f with f(a) = f_a and f(b) = f_b
+    that solvers._rescaled_pair applies, with the same slope and
+    intercept."""
+    a, b = domain
+    slope = (f_b - f_a) / (b - a)
+    intercept = f_a - slope * a
+    return lambda u: slope * u + intercept
+
+
+def per_curve_rescaled_pair(base, opposite, f_a, f_b):
     """Control polygons of solvers._rescaled_pair, with one dropped-blossom
     call per boundary."""
     n = base.degree
@@ -262,7 +272,7 @@ def per_curve_rescaled_pair(base, opposite, scaling):
     spans, args = _windows(knots, base.knots)
     opp = _dropped_blossoms(base.knots, opposite.control, spans, args)
     own = _dropped_blossoms(base.knots, base.control, spans, args)
-    f = scaling(args)
+    f = ruling_profile(base.domain, f_a, f_b)(args)
     elevated = np.zeros((len(args), 3))
     moved = np.zeros((len(args), 3))
     for j in range(n + 1):

@@ -122,7 +122,7 @@ def test_04_two_corner_solve_with_rescaling(cubic_curve):
     assert_point_close(sol.elevated_d.control[0], ref.CORNER_D0, 1e-9)
     assert_point_close(sol.elevated_d.control[-1], ref.CORNER_DL, 1e-9)
 
-    d = sol.problem1.strip.opposite
+    d = sol.strip.opposite
     for args, expected in ref.CUBIC_AUX_C.items():
         piece = (0, 1) if 0.3 in args else (1, 2)
         assert_point_close(blossom(cubic_curve, piece[0], args),
@@ -139,19 +139,18 @@ def test_05_triangular_patch_with_apex(cubic_curve):
 
     sol = solve_problem3(cubic_curve, ref.TRI_DL, ref.TRI_APEX_VELOCITY,
                          root_choice=ref.TRI_ROOT_INDEX)
-    inner = sol.problem2.problem1
-    assert inner.m_star_roots == pytest.approx(
+    assert sol.m_star_roots == pytest.approx(
         quartic_real_roots(ref.TRI_QUARTIC), abs=1e-9)
-    assert inner.m_star_roots == pytest.approx(ref.TRI_ROOTS, abs=0.01)
+    assert sol.m_star_roots == pytest.approx(ref.TRI_ROOTS, abs=0.01)
 
     # the pinned root index is the one reproducing the printed polygons,
     # and the bundled problem file carries the same choice
     fixture = json.loads((FIXTURES / "splinet.json").read_text())
     assert fixture["root_choice"] == ref.TRI_ROOT_INDEX
-    assert inner.chosen_root == pytest.approx(
+    assert sol.chosen_root == pytest.approx(
         ref.TRI_ROOTS[ref.TRI_ROOT_INDEX], abs=0.01)
-    assert inner.lambda_star == pytest.approx(ref.TRI_LAMBDA, abs=0.01)
-    assert_polygon_close(inner.strip.opposite.control, ref.TRI_D_MID, 0.01)
+    assert sol.lambda_star == pytest.approx(ref.TRI_LAMBDA, abs=0.01)
+    assert_polygon_close(sol.strip.opposite.control, ref.TRI_D_MID, 0.01)
 
     assert_polygon_close(sol.final_c.control, ref.TRI_HAT_C, 0.01)
     assert_polygon_close(sol.final_d.control, ref.TRI_HAT_D, 0.01)
@@ -159,12 +158,12 @@ def test_05_triangular_patch_with_apex(cubic_curve):
     assert_point_close(sol.final_d.derivative_at(0.0),
                        ref.TRI_APEX_VELOCITY, 1e-3)
 
-    d_mid = inner.strip.opposite
+    d_mid = sol.strip.opposite
     for args, expected in ref.TRI_AUX_D_MID.items():
         piece = (0, 1) if 0.3 in args else (1, 2)
         assert_point_close(blossom(d_mid, piece[0], args), expected, 0.01)
-    tilde_c = sol.problem2.elevated_c
-    tilde_d = sol.problem2.elevated_d
+    tilde_c = sol.elevated_c
+    tilde_d = sol.elevated_d
     for args, expected in ref.TRI_AUX_TILDE_C.items():
         assert_point_close(blossom(tilde_c, 0, args), expected, 0.01)
     for args, expected in ref.TRI_AUX_TILDE_D.items():

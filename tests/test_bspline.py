@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from devstrip import (AffineScaling, BSplineCurve, KnotVector, RuledPatch,
+from devstrip import (BSplineCurve, KnotVector, RuledPatch,
                       developability_scan, export_obj)
 from devstrip import bspline
 from devstrip.bspline import _blossoms, _windows, as_point3
@@ -303,7 +303,7 @@ class TestKernelCalls:
         insert_knot(base, 0.4)
         assert calls == [3]
         calls.clear()
-        _rescaled_pair(base, opposite, AffineScaling(0.7, -0.2))
+        _rescaled_pair(base, opposite, -0.2, 0.5)
         assert calls == [6]
         calls.clear()
         developability_scan(patch, 20)

@@ -41,11 +41,10 @@ def write_problem(tmp_path: Path, doc: dict) -> Path:
 
 
 PUBLIC_NAMES = [
-    "AffineScaling", "BSplineCurve", "ConeCaseError", "CylinderCaseError",
+    "BSplineCurve", "ConeCaseError", "CylinderCaseError",
     "DegenerateCaseError", "DevelopabilityScan", "DevelopableStrip",
     "InfeasibleProblemError", "KnotVector", "PlanarSurfaceError",
-    "Problem1Solution", "Problem2Solution", "Problem3Solution",
-    "ProblemSpec", "RuledPatch", "SolveReport", "Solved", "__version__",
+    "ProblemSpec", "RuledPatch", "Solution", "SolveReport", "__version__",
     "apex_direction", "control_relation_residuals",
     "developability_scan", "export_obj", "main", "parse_curve",
     "parse_problem", "parse_solution", "planarity_report",
@@ -289,6 +288,14 @@ class TestVerify:
                         "--samples", "7"]) == 0
         assert "samples: 21 used" in capsys.readouterr().out
 
+    def test_tiny_sample_count_names_the_flag(self, tmp_path, capsys):
+        surface = self.solved_surface(tmp_path)
+        capsys.readouterr()
+        assert run_cli(["verify", "--surface", str(surface),
+                        "--samples", "1"]) == 1
+        assert "error: --samples must be at least 2" in \
+            capsys.readouterr().err
+
     def test_bent_surface_fails_with_code_2(self, tmp_path, capsys,
                                             cubic_curve):
         # a plain ruled pair skips strip validation at parse time, so the
@@ -332,6 +339,17 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli(["verify", "--surface", str(surface)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["base_control", "opposite_control"])
+    def test_polygon_of_wrong_length_names_its_field(self, tmp_path, capsys,
+                                                     key):
+        surface = self.solved_surface(tmp_path)
+        doc = json.loads(surface.read_text())
+        doc[key].pop()
+        surface.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["verify", "--surface", str(surface)]) == 1
+        assert f"error: surface.{key}:" in capsys.readouterr().err
 
 
 class TestElevate:

@@ -77,8 +77,8 @@ class TestSolveSpec:
             spec = parse_problem((FIXTURES / name).read_text())
             solved = solve_spec(spec)
             kinds[spec.problem_kind] = solved
-            assert solved.problem1.strip.base.degree == spec.degree
-        assert kinds["problem1"].patch is kinds["problem1"].problem1.strip
+            assert solved.strip.base.degree == spec.degree
+        assert kinds["problem1"].patch is kinds["problem1"].strip
         assert kinds["problem2"].patch.base.degree == \
             kinds["problem1"].patch.base.degree + 1
         assert kinds["problem3"].patch.base.degree == \
@@ -128,7 +128,7 @@ class TestFixtureRoots:
             return exact_compatibility_numerator(
                 curve.knots, curve.control, v, w, Fraction(m)) > 0
 
-        for root in solved.problem1.m_star_roots:
+        for root in solved.m_star_roots:
             side = positive(root)
             up = down = root
             for _ in range(self.ULPS):
@@ -146,7 +146,7 @@ class TestFixtureRoots:
         # the ratios (M* - u_{j+n+1}) / (M* - u_j) over j = 0..L-2, taken in
         # exact fractions at the solve's own M*, sigma and alpha
         spec = parse_problem((FIXTURES / name).read_text())
-        inner = solve_spec(spec).problem1
+        inner = solve_spec(spec)
         knots = inner.strip.base.knots
         u = [Fraction(x) for x in knots]
         n = knots.degree

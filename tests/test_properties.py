@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from devstrip import (
-    AffineScaling,
     BSplineCurve,
     DegenerateCaseError,
     DevelopableStrip,
@@ -36,7 +35,7 @@ from helpers import (assert_point_close, blossom, curves_pointwise_equal,
                      loop_evaluate, loop_planarity_report,
                      loop_propagate_polygon, loop_span_for, loop_window_span,
                      one_cell_planarity, per_curve_rescaled_pair,
-                     per_curve_ruled_eval, per_curve_scan)
+                     per_curve_ruled_eval, per_curve_scan, ruling_profile)
 
 coordinates = st.floats(-10.0, 10.0, allow_nan=False, width=64)
 points = st.tuples(coordinates, coordinates, coordinates)
@@ -178,9 +177,9 @@ class TestBatchedEvaluator:
 
         # elevation and rescale, each vertex against the loop sums at its
         # elevated knot window
-        scaling = AffineScaling(0.7, -0.2)
+        scaling = ruling_profile(base.domain, -0.2, 0.5)
         elevated = base.elevate_degree()
-        same, blended = _rescaled_pair(base, opposite, scaling)
+        same, blended = _rescaled_pair(base, opposite, -0.2, 0.5)
         up = elevated.knots
         assert same.knots == blended.knots == up
         for i in range(up.control_count):
@@ -221,9 +220,9 @@ class TestBatchedEvaluator:
         assert np.array_equal(patch.ruled_eval(u0, v0),
                               per_curve_ruled_eval(patch, u0, v0))
 
-        scaling = AffineScaling(*rng.uniform(-2.0, 2.0, 2))
-        elevated, moved = _rescaled_pair(base, opposite, scaling)
-        want = per_curve_rescaled_pair(base, opposite, scaling)
+        f_a, f_b = rng.uniform(-2.0, 2.0, 2)
+        elevated, moved = _rescaled_pair(base, opposite, f_a, f_b)
+        want = per_curve_rescaled_pair(base, opposite, f_a, f_b)
         assert np.array_equal(elevated.control, want[0])
         assert np.array_equal(moved.control, want[1])
 
@@ -430,8 +429,8 @@ class TestSolverProperties:
         assert_point_close(sol.elevated_d.control[0], d0, 1e-9 * scale)
         assert_point_close(sol.elevated_d.control[-1], dL, 1e-9 * scale)
 
-        inner = sol.problem1.strip
-        f = sol.scaling
+        inner = sol.strip
+        f = ruling_profile(curve.domain, 1.0, 1.0 / sol.tau)
         outer = RuledPatch(sol.elevated_c, sol.elevated_d)
         u = tu  # cubic fixture domain is [0, 1]
         assert_point_close(outer.ruled_eval(u, tv),
@@ -446,8 +445,8 @@ class TestSolverProperties:
         assume(np.linalg.norm(dL - curve.control[-1]) > 0.3)
         sol = solve_or_discard(solve_problem2, curve, ref.CORNER_D0, dL)
 
-        inner = sol.problem1.strip
-        f = sol.scaling
+        inner = sol.strip
+        f = ruling_profile(curve.domain, 1.0, 1.0 / sol.tau)
         value = sol.elevated_d.evaluate(t)
         blend = inner.ruled_eval(t, f(t))
         assert_point_close(value, blend, 1e-9 * scale_of(curve))

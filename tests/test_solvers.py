@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from devstrip import (
-    AffineScaling,
     BSplineCurve,
     ConeCaseError,
     CylinderCaseError,
@@ -36,7 +35,8 @@ from devstrip.solvers import _ratio_weights
 import reference as ref
 from helpers import (assert_point_close, assert_polygon_close, blossom,
                      exact_compatibility_numerator, exact_offset_numerator,
-                     insert_knot, plant_strip, quartic_real_roots)
+                     insert_knot, plant_strip, quartic_real_roots,
+                     ruling_profile)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -322,6 +322,72 @@ class TestProblem1:
                            d0=ref.CUBIC_D0, root_choice=2)
 
 
+class TestNamedTolerances:
+    """Data at half and at twice each named tolerance: on the side the
+    tolerance guards, the solve is refused with its error; on the other
+    side, that error is not raised."""
+
+    def test_ruling_parallel_tol(self, cubic):
+        def solve(factor):
+            w = (1.0, factor * solvers.RULING_PARALLEL_TOL, 0.0)
+            return solve_problem1(cubic, (1.0, 0.0, 0.0), w,
+                                  d0=(1.0, 0.0, 0.0))
+
+        with pytest.raises(CylinderCaseError):
+            solve(0.5)
+        # rulings this close to parallel still meet the cone test
+        with pytest.raises(ConeCaseError):
+            solve(2.0)
+
+    def test_anchor_line_tol(self, cubic):
+        # the sine of d0 - c_0 = (x, 0, 2) against v = (0, 0, 2) is x / 2
+        def solve(factor):
+            d0 = (2.0 * factor * solvers.ANCHOR_LINE_TOL, 0.0, 2.0)
+            return solve_problem1(cubic, ref.CUBIC_V, ref.CUBIC_W, d0=d0)
+
+        solve(0.5)
+        with pytest.raises(ValueError, match="ruling line"):
+            solve(2.0)
+
+    def test_cone_tol(self, cubic):
+        # w = gap + v meets the first ruling line; moving it along the
+        # unit normal of (gap, v) by eta gives det(gap, v, w) =
+        # eta |gap x v|, here factor * CONE_TOL * |gap| |v| |w|
+        gap = cubic.control[-1] - cubic.control[0]
+        v = np.asarray(ref.CUBIC_V)
+        normal = np.cross(gap, v)
+        unit = normal / np.linalg.norm(normal)
+        bound = np.linalg.norm(gap) * np.linalg.norm(v) \
+            * np.linalg.norm(gap + v) / np.linalg.norm(normal)
+
+        def solve(factor):
+            w = gap + v + factor * solvers.CONE_TOL * bound * unit
+            return solve_problem1(cubic, v, w, d0=ref.CUBIC_D0)
+
+        with pytest.raises(ConeCaseError):
+            solve(0.5)
+        solve(2.0)
+
+    def test_planar_det_rel(self):
+        # the flat cubic lies in z = 0, the plane of v and w; lifting c_2
+        # by h makes its determinant h against the largest offset from c_L
+        control = np.array([(x, y, 0.0) for x, y, _ in ref.CUBIC_CONTROL])
+        reach = np.max(np.linalg.norm(control[:-1] - control[-1], axis=1))
+
+        def solve(factor):
+            lifted = control.copy()
+            lifted[2, 2] = factor * solvers.PLANAR_DET_REL * reach
+            curve = BSplineCurve(ref.CUBIC_KNOTS, lifted, 3)
+            return solve_problem1(curve, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                  d0=(1.0, 0.0, 0.0))
+
+        with pytest.raises(PlanarSurfaceError):
+            solve(0.5)
+        # c_0 stays in the plane, so the end ruling lines still meet
+        with pytest.raises(ConeCaseError):
+            solve(2.0)
+
+
 def planted_strips(pieces, scaled):
     """The seeded planted strips at one piece count, degrees 2-5, on [0, 1]
     or on [0, pieces]: (scale, knots, base, curve, v, w, d0, m*) each."""
@@ -461,11 +527,10 @@ class TestProblem2:
 
     def test_scaling_profile_hits_both_ends(self, corner_p2, cubic):
         a, b = cubic.domain
-        assert corner_p2.scaling(a) == pytest.approx(1.0, abs=1e-12)
-        assert corner_p2.scaling(b) == pytest.approx(
-            1.0 / corner_p2.problem1.tau, rel=1e-12)
-        assert corner_p2.problem1.tau == pytest.approx(ref.CUBIC_TAU,
-                                                       abs=0.01)
+        scaling = ruling_profile(cubic.domain, 1.0, 1.0 / corner_p2.tau)
+        assert scaling(a) == pytest.approx(1.0, abs=1e-12)
+        assert scaling(b) == pytest.approx(1.0 / corner_p2.tau, rel=1e-12)
+        assert corner_p2.tau == pytest.approx(ref.CUBIC_TAU, abs=0.01)
         assert corner_p2.pinch_u is None
 
     def test_scaled_blossom_spot_value(self, corner_p2):
@@ -477,8 +542,8 @@ class TestProblem2:
     def test_surface_is_the_rescaled_inner_strip(self, corner_p2, cubic):
         # b2(u, t) = b1(u, t * f(u)): same surface traded between
         # parameterizations, sampled across the domain and width
-        inner = corner_p2.problem1.strip
-        f = corner_p2.scaling
+        inner = corner_p2.strip
+        f = ruling_profile(cubic.domain, 1.0, 1.0 / corner_p2.tau)
         outer = RuledPatch(corner_p2.elevated_c, corner_p2.elevated_d)
         for u in (0.0, 0.15, 0.3, 0.55, 0.7, 0.9, 1.0):
             for t in (0.0, 0.4, 1.0):
@@ -488,7 +553,9 @@ class TestProblem2:
     def test_matching_corner_needs_no_rescale(self, cubic, cubic_p1):
         far = cubic_p1.strip.opposite.control[-1]
         sol = solve_problem2(cubic, ref.CUBIC_D0, far)
-        assert sol.scaling.slope == pytest.approx(0.0, abs=1e-9)
+        a, b = cubic.domain
+        slope = (1.0 / sol.tau - 1.0) / (b - a)
+        assert slope == pytest.approx(0.0, abs=1e-9)
         assert_polygon_close(
             sol.elevated_d.control,
             cubic_p1.strip.opposite.elevate_degree().control, 1e-9)
@@ -498,7 +565,7 @@ class TestProblem2:
         far = np.asarray(cubic_p1.strip.opposite.control[-1])
         flipped = c_last - (far - c_last)
         sol = solve_problem2(cubic, ref.CUBIC_D0, flipped)
-        assert sol.problem1.tau == pytest.approx(-1.0, abs=1e-9)
+        assert sol.tau == pytest.approx(-1.0, abs=1e-9)
         assert sol.pinch_u == pytest.approx(0.5, abs=1e-9)
         scale = max(1.0, float(np.max(np.abs(sol.elevated_d.control))))
         assert_point_close(sol.elevated_d.control[-1], flipped, 1e-9 * scale)
@@ -530,27 +597,27 @@ class TestProblem3:
         assert tri_p3.final_c.degree == 5
         assert tri_p3.final_d.degree == 5
 
-    def test_intermediate_stages(self, tri_p3):
-        assert_point_close(tri_p3.apex_ruling, ref.TRI_APEX_DIRECTION, 1e-12)
-        inner = tri_p3.problem2.problem1
-        assert inner.m_star_roots == pytest.approx(ref.TRI_ROOTS, abs=0.01)
-        assert inner.chosen_root == pytest.approx(
+    def test_intermediate_stages(self, tri_p3, cubic):
+        apex_ruling = tri_p3.strip.opposite.control[0] - cubic.control[0]
+        assert_point_close(apex_ruling, ref.TRI_APEX_DIRECTION, 1e-12)
+        assert tri_p3.m_star_roots == pytest.approx(ref.TRI_ROOTS, abs=0.01)
+        assert tri_p3.chosen_root == pytest.approx(
             ref.TRI_ROOTS[ref.TRI_ROOT_INDEX], abs=0.01)
-        assert inner.lambda_star == pytest.approx(ref.TRI_LAMBDA, abs=0.01)
-        assert inner.tau == pytest.approx(ref.TRI_TAU, abs=0.01)
-        assert_polygon_close(inner.strip.opposite.control,
+        assert tri_p3.lambda_star == pytest.approx(ref.TRI_LAMBDA, abs=0.01)
+        assert tri_p3.tau == pytest.approx(ref.TRI_TAU, abs=0.01)
+        assert_polygon_close(tri_p3.strip.opposite.control,
                              ref.TRI_D_MID, 0.01)
-        assert_polygon_close(tri_p3.problem2.elevated_d.control,
+        assert_polygon_close(tri_p3.elevated_d.control,
                              ref.TRI_TILDE_D, 0.01)
 
     def test_intermediate_blossoms(self, tri_p3):
-        d_mid = tri_p3.problem2.problem1.strip.opposite
+        d_mid = tri_p3.strip.opposite
         for args, expected in ref.TRI_AUX_D_MID.items():
             pieces = (0, 1) if 0.3 in args else (1, 2)
             assert_point_close(blossom(d_mid, pieces[0], args),
                                expected, 0.01)
-        tilde_c = tri_p3.problem2.elevated_c
-        tilde_d = tri_p3.problem2.elevated_d
+        tilde_c = tri_p3.elevated_c
+        tilde_d = tri_p3.elevated_d
         for args, expected in ref.TRI_AUX_TILDE_C.items():
             assert_point_close(blossom(tilde_c, 0, args), expected, 0.01)
         for args, expected in ref.TRI_AUX_TILDE_D.items():
@@ -571,8 +638,9 @@ class TestProblem3:
 
     def test_shrink_profile_runs_zero_to_one(self, tri_p3, cubic):
         a, b = cubic.domain
-        assert tri_p3.shrink(a) == pytest.approx(0.0, abs=1e-12)
-        assert tri_p3.shrink(b) == pytest.approx(1.0, abs=1e-12)
+        shrink = ruling_profile(cubic.domain, 0.0, 1.0)
+        assert shrink(a) == pytest.approx(0.0, abs=1e-12)
+        assert shrink(b) == pytest.approx(1.0, abs=1e-12)
 
     def test_other_root_lands_far_from_the_reference(self, cubic):
         alt = solve_problem3(cubic, ref.TRI_DL, ref.TRI_APEX_VELOCITY,

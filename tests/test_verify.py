@@ -19,7 +19,7 @@ from devstrip import (
 
 import reference as ref
 from helpers import (assert_point_close, curves_pointwise_equal,
-                     insert_knot, loop_developability_scan)
+                     insert_knot, loop_developability_scan, ruling_profile)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -128,8 +128,8 @@ class TestCurvesPointwiseEqual:
         # the degree-raised opposite boundary must trace the same points as
         # the direct blend (1-f(u)) c(u) + f(u) d(u)
         sol = solve_problem2(cubic_curve, ref.CORNER_D0, ref.CORNER_DL)
-        inner = sol.problem1.strip
-        f = sol.scaling
+        inner = sol.strip
+        f = ruling_profile(cubic_curve.domain, 1.0, 1.0 / sol.tau)
         worst = 0.0
         for u in np.linspace(0.0, 1.0, 160):
             blend = inner.ruled_eval(u, f(u))
