@@ -352,6 +352,23 @@ def _dropped_blossoms(knots: KnotVector, control: np.ndarray,
     return _blossoms(knots, control, np.tile(spans, m), windows).reshape(m, len(args), -1)
 
 
+def _bezier_points(knots: KnotVector, control: np.ndarray) -> np.ndarray:
+    """Bézier points of every piece of the control block, as
+    (pieces, n+1, c), from one kernel call over all (n+1)·pieces windows.
+
+    Point i of the piece on [u_j, u_{j+1}] is its polar form at n - i
+    copies of u_j and i copies of u_{j+1}."""
+    n = knots.degree
+    spans = knots._spans
+    lo, hi = knots._array[spans], knots._array[spans + 1]
+    # window i takes u_{j+1} in its last i slots
+    upper = np.arange(n) >= n - np.arange(n + 1)[:, None]
+    args = np.where(upper, hi[:, None, None], lo[:, None, None])
+    points = _blossoms(knots, control, np.repeat(spans, n + 1),
+                       args.reshape(-1, n))
+    return points.reshape(len(spans), n + 1, -1)
+
+
 def _point_and_velocity(knots: KnotVector, control: np.ndarray,
                         spans: np.ndarray, us: np.ndarray):
     """Points c(u) and one-sided velocities c'(u) at the (k,) parameters

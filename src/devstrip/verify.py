@@ -7,11 +7,13 @@ these routines can serve as oracles for the constructive code.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _point_and_velocity, _row_norms
+from .bspline import _bezier_points, _row_norms
 from .strip import RuledPatch
 
 # Rulings shorter than this fraction of the patch scale are collapsed points
@@ -39,43 +41,85 @@ def developability_scan(patch: RuledPatch,
                         samples_per_piece: int = 100) -> DevelopabilityScan:
     """Sample the normalized tangent-plane determinant over every piece.
 
-    At each parameter the residual is |det(c', d', d−c)| divided by the
-    product of the three factor norms; a ruled surface is developable exactly
-    when the plane spanned by the ruling and either tangent contains the
-    other tangent, which makes the determinant vanish.
+    At each parameter the residual is |(c' x d') . (d - c)| divided by the
+    product of the three factor norms; a ruled surface is developable
+    exactly when the plane spanned by the ruling and either tangent
+    contains the other tangent, which makes the triple product vanish.
+    Points and velocities come from the Bézier points of every piece
+    through one table shared by all pieces (see `_sample_table`).
     """
     if samples_per_piece < 2:
         raise ValueError("samples_per_piece must be at least 2")
+    S = samples_per_piece
     block = np.hstack((patch.base.control, patch.opposite.control))
     # the largest norm of a control point of either boundary, at least 1
     scale = max(1.0, np.max(np.linalg.norm(block.reshape(-1, 3), axis=1)))
     floor = NORM_FLOOR_REL * scale
 
     knots = patch.knots
+    n = knots.degree
     lo, hi = knots._array[knots._spans], knots._array[knots._spans + 1]
-    off = KNOT_SAMPLE_OFFSET_REL * (hi - lo)
-    us = np.linspace(lo + off, hi - off, samples_per_piece, axis=1).ravel()
-    # each sample lies inside its own piece, so its span needs no search
-    spans = np.repeat(knots._spans, samples_per_piece)
-    points, velocities = _point_and_velocity(knots, block, spans, us)
-    c, d = points[:, :3], points[:, 3:]
-    cv, dv = velocities[:, :3], velocities[:, 3:]
-    ruling = d - c
-    r_len = _row_norms(ruling)
-    kept = ~(r_len < COLLAPSED_RULING_REL * scale)
-    skipped = len(us) - int(np.count_nonzero(kept))
-    us, ruling, r_len, cv, dv = us[kept], ruling[kept], r_len[kept], cv[kept], dv[kept]
-    det = np.linalg.det(np.stack((cv, dv, ruling), axis=-1))
-    denom = (np.maximum(_row_norms(cv), floor)
-             * np.maximum(_row_norms(dv), floor)
-             * np.maximum(r_len, floor))
+    width = hi - lo
+    # one row of n+1 Bézier coordinates per (block column, piece), which
+    # the table turns into S point coordinates, then S derivatives in t
+    bezier = _bezier_points(knots, block).transpose(2, 0, 1).reshape(-1, n + 1)
+    values = (bezier @ _sample_table(n, S)).reshape(6, -1, 2 * S)
+    # c', d' and d - c, each as (3, pieces, S): samples piece by piece
+    factors = np.empty((3, 3, len(width), S))
+    np.divide(values[:, :, S:].reshape(2, 3, -1, S), width[:, None],
+              out=factors[:2])
+    np.subtract(values[3:, :, :S], values[:3, :, :S], out=factors[2])
+    cv, dv, ruling = factors
+    det = ((cv[1] * dv[2] - cv[2] * dv[1]) * ruling[0]
+           + (cv[2] * dv[0] - cv[0] * dv[2]) * ruling[1]
+           + (cv[0] * dv[1] - cv[1] * dv[0]) * ruling[2])
+    norms = np.sqrt((factors * factors).sum(axis=1))
+    collapsed = (norms[2] < COLLAPSED_RULING_REL * scale).ravel()
+    skipped = int(np.count_nonzero(collapsed))
     # Entry 0 stands for "nothing positive yet"; argmax takes the first
-    # maximum, and NaN residuals never count as the worst.
-    residual = np.concatenate(([0.0], np.abs(det) / denom))
+    # maximum, and NaN residuals and collapsed rulings never count as the
+    # worst.
+    residual = np.zeros(1 + collapsed.size)
+    np.divide(np.abs(det), np.maximum(norms, floor).prod(axis=0),
+              out=residual[1:].reshape(det.shape))
     residual[~(residual > 0.0)] = 0.0
+    residual[1:][collapsed] = 0.0
     worst = int(np.argmax(residual))
-    arg = float(us[worst - 1]) if worst else patch.domain[0]
-    return DevelopabilityScan(float(residual[worst]), arg, len(us), skipped)
+    arg = patch.domain[0]
+    if worst:
+        piece, s = divmod(worst - 1, S)
+        off = KNOT_SAMPLE_OFFSET_REL * width[piece]
+        arg = float(np.linspace(lo[piece] + off, hi[piece] - off, S)[s])
+    return DevelopabilityScan(float(residual[worst]), arg,
+                              collapsed.size - skipped, skipped)
+
+
+@functools.lru_cache(maxsize=16)
+def _sample_table(degree: int, samples: int) -> np.ndarray:
+    """Values and derivatives of the degree-n Bernstein polynomials at the
+    scan's relative sample positions, as a read-only (n+1, 2S) table.
+
+    Sample s sits at t_s = r + s/(S-1) (1 - 2r) of its piece, r being
+    KNOT_SAMPLE_OFFSET_REL.  Columns 0..S-1 hold B_{i,n}(t_s); columns
+    S..2S-1 hold n (B_{i-1,n-1} - B_{i,n-1})(t_s), the derivative in t, so
+    Bézier points times the table give the points and, per unit of the
+    piece's width, the velocities at every sample."""
+    n = degree
+    t = (KNOT_SAMPLE_OFFSET_REL + np.arange(samples) / (samples - 1)
+         * (1.0 - 2.0 * KNOT_SAMPLE_OFFSET_REL))
+
+    def bernstein(m):
+        i = np.arange(m + 1)[:, None]
+        return (np.array([math.comb(m, k) for k in range(m + 1)])[:, None]
+                * t ** i * (1.0 - t) ** (m - i))
+
+    table = np.zeros((n + 1, 2 * samples))
+    table[:, :samples] = bernstein(n)
+    lower = n * bernstein(n - 1)
+    table[1:, samples:] += lower
+    table[:-1, samples:] -= lower
+    table.flags.writeable = False
+    return table
 
 
 def planarity_report(strip: RuledPatch) -> list[float]:

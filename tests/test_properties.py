@@ -29,8 +29,9 @@ from devstrip.solvers import _rescaled_pair
 
 import reference as ref
 from devstrip.bspline import _blossoms, _dropped_blossoms
-from helpers import (assert_point_close, blossom, curves_pointwise_equal,
-                     insert_knot, knot_multiplicity, loop_blossom_on_span,
+from helpers import (assert_point_close, assert_scan_close, blossom,
+                     curves_pointwise_equal, insert_knot, knot_multiplicity,
+                     loop_blossom_on_span,
                      loop_control_relation_residuals, loop_derivative_at,
                      loop_evaluate, loop_planarity_report,
                      loop_propagate_polygon, loop_span_for, loop_window_span,
@@ -201,14 +202,15 @@ class TestBatchedEvaluator:
     @given(patches_with_collapsed_rulings(), st.data())
     def test_patch_paths_match_the_per_curve_reference(self, patch, data):
         # the scan, the OBJ grid and the rescale evaluate both boundaries in
-        # one kernel call; each boundary alone gives the same bits
+        # one kernel call; each boundary alone gives the same bits, except
+        # in the scan, which evaluates from Bézier points
         base, opposite = patch.base, patch.opposite
         knots = base.knots
         a, b = patch.domain
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         samples = data.draw(st.integers(2, 12))
-        assert developability_scan(patch, samples) == \
-            per_curve_scan(patch, samples)
+        assert_scan_close(developability_scan(patch, samples), patch,
+                          *per_curve_scan(patch, samples))
 
         # parameters anywhere in the domain, on its ends and on inner knots
         us = np.concatenate((rng.uniform(a, b, data.draw(st.integers(0, 6))),
