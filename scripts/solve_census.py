@@ -18,11 +18,13 @@ so two records compare exactly.
 --compare lists the cases whose outcome or root count changed, then the
 largest move of a root (over max(1, |root|)), of lambda* and tau (over
 max(1, |value|)) and of a control point (over max(1, the largest
-coordinate)) among the cases solved on both sides, and the count of cases
-whose control points are not bit-identical.  It lists every case whose scan
-record changed, with the old and new fields.  It exits 1 when an outcome,
-a root count or a scan's samples or skipped count differs, or a case is
-missing from one record.
+coordinate)) among the cases solved on both sides, the largest absolute
+change of a scan's max residual, and the count of cases whose control
+points are not bit-identical.  It lists every case whose scan record
+changed, with the old and new fields.  It exits 1 when an outcome, a root
+count, a scan's samples or skipped count, or a scan's verdict against
+devstrip's VERIFY_TOL (max residual at most the tolerance) differs, or a
+case is missing from one record.
 """
 
 import argparse
@@ -33,6 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # Samples per piece of the recorded scan: stripbench's SCAN_DENSITY.
 SCAN_SAMPLES = 20
+# devstrip.cli.VERIFY_TOL, the tolerance of `devstrip verify`; --compare
+# reads no devstrip code.
+VERIFY_TOL = 1e-8
 
 
 def _hex(values):
@@ -110,6 +115,7 @@ def compare(old_path: str, new_path: str) -> int:
         changed.append(f"{case}: only in "
                        f"{old_path if case in old else new_path}")
     moves = {"root": 0.0, "lambda_star": 0.0, "tau": 0.0, "control": 0.0}
+    residual_change = 0.0
     solved = moved_polygons = 0
     rescanned = []
     for case in sorted(old.keys() & new.keys()):
@@ -129,6 +135,11 @@ def compare(old_path: str, new_path: str) -> int:
             if a["scan"][2:] != b["scan"][2:]:
                 changed.append(f"{case}: scan samples, skipped "
                                f"{a['scan'][2:]} -> {b['scan'][2:]}")
+            x, y = float.fromhex(a["scan"][0]), float.fromhex(b["scan"][0])
+            residual_change = max(residual_change, abs(y - x))
+            if (x <= VERIFY_TOL) != (y <= VERIFY_TOL):
+                changed.append(f"{case}: scan verdict against {VERIFY_TOL:g} "
+                               f"flipped, max residual {x:.3e} -> {y:.3e}")
         moved_polygons += (a["base"], a["opposite"]) != (b["base"],
                                                          b["opposite"])
         for x, y in zip(ra, rb):
@@ -150,6 +161,8 @@ def compare(old_path: str, new_path: str) -> int:
           f"with another scan record")
     print("largest relative move: " + ", ".join(
         f"{key} {value:.3g}" for key, value in moves.items()))
+    print(f"largest absolute change of a scan residual: "
+          f"{residual_change:.3g}")
     return 1 if changed else 0
 
 

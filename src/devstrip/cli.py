@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad input, 2 infeasible data, 3 rejected
-degenerate configuration (cylinder/cone/planar, or a surface to verify
-whose every sampled ruling is collapsed, which leaves no verdict).
+Exit codes: 0 success, 1 bad input, 2 infeasible data or a surface that
+is not developable within VERIFY_TOL, 3 rejected degenerate configuration
+(cylinder/cone/planar, or a surface whose every sampled ruling is
+collapsed, which leaves no verdict).  `solve` scans the patch it built
+as `verify` does, and writes no files unless the verdict is 0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .errors import DegenerateCaseError, InfeasibleProblemError
 from .fileio import (SolveReport, export_obj, parse_curve, parse_problem,
                      parse_solution, serialize_curve, serialize_solution)
 from .solvers import solve_spec
-from .verify import developability_scan, planarity_report
+from .verify import (DevelopabilityScan, developability_scan,
+                     planarity_report)
 
 VERIFY_TOL = 1e-8
 REPORT_SAMPLES_PER_PIECE = 100
@@ -86,6 +89,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     patch = solution.patch
 
     scan = developability_scan(patch, REPORT_SAMPLES_PER_PIECE)
+    code, verdict = _verdict(scan)
+    if code:
+        print(f"{verdict}: max developability residual "
+              f"{scan.max_residual:.3e} at u = {scan.argmax_u:.6g} "
+              f"(chosen M* = {solution.chosen_root:.6g}); no files written",
+              file=sys.stderr)
+        return code
     report = SolveReport(
         problem_kind=spec.problem_kind,
         roots=tuple(float(r) for r in solution.m_star_roots),
@@ -131,14 +141,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
           f"at u = {scan.argmax_u:.6g}")
     print(f"samples: {scan.samples} used, {scan.skipped} skipped "
           f"(collapsed rulings)")
+    code, verdict = _verdict(scan)
+    print(verdict)
+    return code
+
+
+def _verdict(scan: DevelopabilityScan) -> tuple[int, str]:
+    """Exit code and verdict line of a scan: 0 within VERIFY_TOL, 2 above
+    it, 3 when every sampled ruling is collapsed."""
     if scan.samples == 0:
-        print("no verdict: every sampled ruling is collapsed")
-        return 3
+        return 3, "no verdict: every sampled ruling is collapsed"
     if scan.max_residual <= VERIFY_TOL:
-        print(f"developable within tolerance {VERIFY_TOL:.0e}")
-        return 0
-    print(f"NOT developable within tolerance {VERIFY_TOL:.0e}")
-    return 2
+        return 0, f"developable within tolerance {VERIFY_TOL:.0e}"
+    return 2, f"NOT developable within tolerance {VERIFY_TOL:.0e}"
 
 
 def _cmd_elevate(args: argparse.Namespace) -> int:

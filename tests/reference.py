@@ -132,3 +132,29 @@ TRI_AUX_D_MID = {
 }
 TRI_AUX_TILDE_C = {(0.0, 0.3, 0.3, 0.3): (3.01, 2.90, 0.0)}
 TRI_AUX_TILDE_D = {(0.0, 0.3, 0.3, 0.3): (1.89, 2.35, 2.28)}
+
+# --- a corner solve whose chosen root lies just past the domain end --------
+
+# The planted strip problem2-p6-n4 of stripbench's `elevated` workload,
+# seed 286, as corner data.  Root 0, M* = 1.00494, lies 0.005 past u = 1;
+# it gives tau = 6.5e-10, so the rescale stretches the last rulings by
+# 1/tau and the scan at 100 samples per piece reads 1.46e-7 next to u = 1.
+# Root 1, M* = 2.45766, gives a patch the scan accepts.
+NEAR_END_DEGREE = 4
+NEAR_END_KNOTS = (0.0, 0.0, 0.0, 0.0, 0.13037062155520512,
+                  0.2911689009476021, 0.512054854804729, 0.6618643749794332,
+                  0.8162951771765202, 1.0, 1.0, 1.0, 1.0)
+NEAR_END_CONTROL = (
+    (0.0, 0.0, 0.0),
+    (0.10340788710816014, 0.09040874192669483, 0.23979261263906418),
+    (0.15150697416519254, 0.3563634375535865, 0.14380264267675635),
+    (0.42227655779581164, 0.42524902864537806, 0.1772287668261489),
+    (0.19596562893104777, 0.32474945335763994, 0.28027869837588787),
+    (0.2796998597989149, 0.5997273827340182, 0.771176299805789),
+    (0.12138384133005928, 0.5785236364775547, 0.5554350516005305),
+    (0.7000382055299886, 0.5275827035882705, 0.3334109175113893),
+    (0.8877262964016674, 0.7257581650388417, -0.017930500206120525),
+    (1.0227259079790199, 0.6123013269890029, -0.03178160348400961))
+NEAR_END_D0 = (-0.042021744673079446, 0.20961166891532548,
+               -0.07781525730627349)
+NEAR_END_DL = (1.1580871706835614, 0.6623751218520704, -0.12583581515336886)

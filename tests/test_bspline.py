@@ -275,16 +275,18 @@ class TestKernelCalls:
     """Re-expressing a curve sends all its knot windows, or all their
     dropped-argument windows, through one de Boor kernel call.  The rescale,
     the developability scan and the OBJ export make one call per patch,
-    over both boundary polygons side by side (six control columns)."""
+    over both boundary polygons side by side (six control columns).  The
+    scan's call has one row per Bézier point of every piece, whatever its
+    sample count."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counted = []
         kernel = bspline._de_boor
 
-        def wrapped(knots, control, *args):
-            counted.append(control.shape[1])
-            return kernel(knots, control, *args)
+        def wrapped(knots, control, spans, *args):
+            counted.append((control.shape[1], len(spans)))
+            return kernel(knots, control, spans, *args)
 
         monkeypatch.setattr(bspline, "_de_boor", wrapped)
         return counted
@@ -297,17 +299,20 @@ class TestKernelCalls:
             len(knots) - degree + 1, 3)), degree) for _ in range(2))
         patch = RuledPatch(base, opposite)
 
+        def columns():
+            counted = [c for c, _ in calls]
+            calls.clear()
+            return counted
+
         base.elevate_degree()
-        assert calls == [3]
-        calls.clear()
+        assert columns() == [3]
         insert_knot(base, 0.4)
-        assert calls == [3]
-        calls.clear()
+        assert columns() == [3]
         _rescaled_pair(base, opposite, -0.2, 0.5)
-        assert calls == [6]
-        calls.clear()
-        developability_scan(patch, 20)
-        assert calls == [6]
-        calls.clear()
+        assert columns() == [6]
+        for samples in (2, 20, 100):
+            developability_scan(patch, samples)
+            assert calls == [(6, (degree + 1) * patch.knots.pieces)]
+            calls.clear()
         export_obj(patch)
-        assert calls == [6]
+        assert columns() == [6]

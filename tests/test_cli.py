@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import devstrip
+from devstrip import cli
 from devstrip import (
     BSplineCurve,
+    DevelopabilityScan,
     DevelopableStrip,
     RuledPatch,
     parse_solution,
@@ -221,6 +223,41 @@ class TestSolve:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("root, code", [(0, 2), (1, 0)])
+    def test_patch_its_own_scan_rejects_writes_nothing(self, tmp_path,
+                                                       capsys, root, code):
+        doc = {
+            "problem": "problem2",
+            "curve": {"degree": ref.NEAR_END_DEGREE,
+                      "knots": list(ref.NEAR_END_KNOTS),
+                      "control": [list(p) for p in ref.NEAR_END_CONTROL]},
+            "rulings": {"d0": list(ref.NEAR_END_D0),
+                        "dL": list(ref.NEAR_END_DL)},
+            "root_choice": root,
+        }
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--problem",
+                        str(write_problem(tmp_path, doc)),
+                        "--out", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("NOT developable within tolerance 1e-08")
+            assert err.endswith("no files written\n")
+            assert not out.exists()
+        else:
+            assert (out / "solution.json").exists()
+
+    def test_patch_without_a_verdict_writes_nothing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        collapsed = DevelopabilityScan(0.0, 0.0, 0, 300)
+        monkeypatch.setattr(cli, "developability_scan",
+                            lambda patch, samples: collapsed)
+        code, out = self.run(tmp_path)
+        assert code == 3
+        assert "no verdict: every sampled ruling is collapsed" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_cylinder_exit_code(self, tmp_path, capsys):
         doc = fixture_doc("spline3.json")
         doc["rulings"]["w"] = [0.0, 0.0, 4.0]
@@ -310,6 +347,22 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli(["verify", "--surface", str(path)]) == 2
         assert "NOT developable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 2)])
+    def test_verdict_at_the_edge_of_the_tolerance(self, tmp_path, capsys,
+                                                  factor, code):
+        # a hyperbolic paraboloid: the opposite line rises by h, and the
+        # residual h / sqrt(1 + h^2) is largest at the first sample
+        h = factor * cli.VERIFY_TOL
+        twisted = RuledPatch(
+            BSplineCurve([0.0, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 1),
+            BSplineCurve([0.0, 1.0], [[0.0, 1.0, 0.0], [1.0, 1.0, h]], 1))
+        path = tmp_path / "twisted.json"
+        path.write_text(serialize_solution(twisted))
+        capsys.readouterr()
+        assert run_cli(["verify", "--surface", str(path)]) == code
+        assert f"max developability residual {h:.3e} at u = 1e-09" in \
+            capsys.readouterr().out
 
     def test_all_rulings_collapsed_gives_no_verdict(self, tmp_path, capsys,
                                                      cubic_curve):

@@ -14,6 +14,7 @@ import pytest
 
 from devstrip import (parse_problem, run_cli, serialize_problem,
                       serialize_solution, solve_spec, solvers)
+from devstrip.cli import VERIFY_TOL
 
 from helpers import assert_polygon_close, exact_compatibility_numerator
 
@@ -201,14 +202,20 @@ class TestScripts:
         # the anchor turns with w, so it pins the same ruling scale tau
         assert {row.split()[4] for row in rows} == {"2.2389"}
 
-    def test_solve_census_of_one_seed_matches_itself(self, tmp_path,
-                                                     monkeypatch, capsys):
+    @pytest.fixture(scope="class")
+    def census_record(self, tmp_path_factory):
         # a subprocess, so the stripbench modules it imports stay there
-        record = tmp_path / "census.jsonl"
+        record = tmp_path_factory.mktemp("census") / "census.jsonl"
         with record.open("w") as out:
             subprocess.run([sys.executable,
                             str(REPO / "scripts" / "solve_census.py"),
                             "--seeds", "1"], stdout=out, check=True)
+        return record
+
+    def test_solve_census_of_one_seed_matches_itself(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     census_record):
+        record = census_record
         lines = record.read_text().splitlines()
         # 12 seeded pieces_sweep plants, the 24 of its fixed corpus and 32
         # elevated ones
@@ -225,3 +232,24 @@ class TestScripts:
         assert capsys.readouterr().out.startswith(
             f"{first['case']}: {len(first['roots']) + 1} -> "
             f"{len(first['roots'])} roots")
+
+    @pytest.mark.parametrize("residual, code", [(2e-9, 0), (1.5e-8, 1)])
+    def test_solve_census_flags_a_flipped_scan_verdict(
+            self, tmp_path, monkeypatch, capsys, census_record, residual,
+            code):
+        lines = census_record.read_text().splitlines()
+        script = load_script("solve_census", monkeypatch)
+        assert script.VERIFY_TOL == VERIFY_TOL
+        first = json.loads(lines[0])
+        assert float.fromhex(first["scan"][0]) < 1e-12
+        first["scan"][0] = residual.hex()
+        moved = tmp_path / "moved.jsonl"
+        moved.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        assert script.main(["--compare", str(census_record),
+                            str(moved)]) == code
+        out = capsys.readouterr().out
+        flipped = (f"{first['case']}: scan verdict against 1e-08 flipped, "
+                   f"max residual")
+        assert (flipped in out) == bool(code)
+        assert "largest absolute change of a scan residual: " \
+            f"{residual:.3g}" in out

@@ -17,6 +17,8 @@ from devstrip import (
     solve_problem3,
 )
 
+from devstrip.verify import COLLAPSED_RULING_REL
+
 import reference as ref
 from helpers import (assert_point_close, assert_scan_close,
                      curves_pointwise_equal, insert_knot,
@@ -90,6 +92,22 @@ class TestDevelopabilityScan:
         assert scan.skipped == 10 * cubic_curve.pieces
         assert scan.max_residual == 0.0
         assert scan.argmax_u == collapsed.domain[0]
+
+    @pytest.mark.parametrize("factor, all_skipped", [(0.5, True),
+                                                     (2.0, False)])
+    def test_collapsed_ruling_threshold_edge(self, cubic_curve, factor,
+                                             all_skipped):
+        # every ruling is the same translation, of factor times the
+        # collapsed-ruling length at the patch scale
+        scale = max(1.0, np.max(np.linalg.norm(cubic_curve.control, axis=1)))
+        shift = (factor * COLLAPSED_RULING_REL * scale
+                 * np.array([0.6, 0.0, 0.8]))
+        moved = RuledPatch(cubic_curve, BSplineCurve(
+            cubic_curve.knots, cubic_curve.control + shift))
+        scan = developability_scan(moved, samples_per_piece=5)
+        total = 5 * cubic_curve.pieces
+        assert (scan.skipped, scan.samples) == \
+            ((total, 0) if all_skipped else (0, total))
 
     @pytest.mark.parametrize("samples", [7, 100])
     @pytest.mark.parametrize("name", ["spline3", "spline4", "splinet"])
