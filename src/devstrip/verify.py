@@ -76,22 +76,18 @@ def developability_scan(patch: RuledPatch,
     norms = np.sqrt((factors * factors).sum(axis=1))
     collapsed = (norms[2] < COLLAPSED_RULING_REL * scale).ravel()
     skipped = int(np.count_nonzero(collapsed))
-    # Entry 0 stands for "nothing positive yet"; argmax takes the first
-    # maximum, and NaN residuals and collapsed rulings never count as the
-    # worst.
-    residual = np.zeros(1 + collapsed.size)
-    np.divide(np.abs(det), np.maximum(norms, floor).prod(axis=0),
-              out=residual[1:].reshape(det.shape))
-    residual[~(residual > 0.0)] = 0.0
-    residual[1:][collapsed] = 0.0
+    residual = (np.abs(det) / np.maximum(norms, floor).prod(axis=0)).ravel()
+    # argmax takes the first maximum; NaN residuals and collapsed rulings
+    # never count as the worst
+    residual[~(residual > 0.0) | collapsed] = 0.0
     worst = int(np.argmax(residual))
     arg = patch.domain[0]
-    if worst:
-        piece, s = divmod(worst - 1, S)
+    if residual[worst] > 0.0:
+        piece, s = divmod(worst, S)
         off = KNOT_SAMPLE_OFFSET_REL * width[piece]
         arg = float(np.linspace(lo[piece] + off, hi[piece] - off, S)[s])
     return DevelopabilityScan(float(residual[worst]), arg,
-                              collapsed.size - skipped, skipped)
+                              residual.size - skipped, skipped)
 
 
 @functools.lru_cache(maxsize=16)
