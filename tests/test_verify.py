@@ -108,6 +108,8 @@ class TestDevelopabilityScan:
         total = 5 * cubic_curve.pieces
         assert (scan.skipped, scan.samples) == \
             ((total, 0) if all_skipped else (0, total))
+        # a skipped sample's rounding-level residual never counts
+        assert (scan.max_residual == 0.0) == all_skipped
 
     @pytest.mark.parametrize("samples", [7, 100])
     @pytest.mark.parametrize("name", ["spline3", "spline4", "splinet"])
