@@ -16,7 +16,6 @@ from devstrip import (
     solve_problem2,
     solve_problem3,
 )
-
 from devstrip.verify import COLLAPSED_RULING_REL
 
 import reference as ref
