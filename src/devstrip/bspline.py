@@ -15,7 +15,6 @@ and knot vectors never mutate, and all operations return new objects.
 
 from __future__ import annotations
 
-import bisect
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ def as_point3(value) -> np.ndarray:
     p = np.asarray(value, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"expected a 3-component point, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError(f"point has non-finite components: {p}")
     return p
 
@@ -45,7 +44,7 @@ def as_points(values) -> np.ndarray:
     pts = np.asarray(values, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (m, 3) array of points, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("control points contain non-finite components")
     return pts
 
@@ -64,21 +63,22 @@ class KnotVector(Sequence):
     def __init__(self, knots: Sequence[float], degree: int):
         if not isinstance(degree, int) or degree < 1:
             raise ValueError(f"degree must be a positive integer, got {degree!r}")
-        values = tuple(float(u) for u in knots)
-        if len(values) < 2 * degree:
+        values = tuple(map(float, knots))
+        count = len(values)
+        if count < 2 * degree:
             raise ValueError(
-                f"need at least {2 * degree} knots for degree {degree}, got {len(values)}"
+                f"need at least {2 * degree} knots for degree {degree}, got {count}"
             )
-        if not all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("knots contain non-finite values")
-        for i in range(len(values) - 1):
+        for i in range(count - 1):
             if values[i] > values[i + 1]:
                 raise ValueError(
                     f"knots must be nondecreasing: knot {i + 1} = {values[i + 1]} "
                     f"is below knot {i} = {values[i]}"
                 )
         n = degree
-        last = len(values) - n  # index L: domain is [u_{n-1}, u_L]
+        last = count - n  # index L: domain is [u_{n-1}, u_L]
         span_of_domain = values[last] - values[n - 1]
         if not span_of_domain > 0.0:
             raise ValueError("domain interval has zero length")
@@ -87,8 +87,8 @@ class KnotVector(Sequence):
         # multiplicity above the degree would disconnect the curve; a run
         # continues while each knot lies within tol of its predecessor
         run_start = 0
-        for i in range(1, len(values) + 1):
-            if i == len(values) or values[i] - values[i - 1] > tol:
+        for i in range(1, count + 1):
+            if i == count or values[i] - values[i - 1] > tol:
                 if i - run_start > n:
                     raise ValueError(
                         f"knot value {values[run_start]} has multiplicity "
@@ -106,8 +106,8 @@ class KnotVector(Sequence):
         self._degree = n
         self._tol = tol
         # knot index j of every nondegenerate span [u_j, u_{j+1}] of the domain
-        gaps = np.diff(self._array[n - 1 : last + 1])
-        self._spans = n - 1 + np.flatnonzero(gaps > tol)
+        domain = self._array[n - 1 : last + 1]
+        self._spans = n - 1 + (domain[1:] - domain[:-1] > tol).nonzero()[0]
         self._starts = self._array[self._spans]
 
     # -- sequence protocol over the raw knot values --------------------
@@ -167,10 +167,9 @@ class KnotVector(Sequence):
         a, b = self.domain
         values = np.asarray(u, dtype=float)
         outside = ~((a <= values) & (values <= b))
-        if np.any(outside):
+        if outside.any():
             raise ValueError(f"parameter {values[outside][0]} outside the domain [{a}, {b}]")
-        pieces = np.maximum(
-            np.searchsorted(self._starts, values, side="right") - 1, 0)
+        pieces = np.maximum(self._starts.searchsorted(values, side="right") - 1, 0)
         return int(pieces) if values.ndim == 0 else pieces
 
     def inner_values(self) -> tuple[float, ...]:
@@ -179,8 +178,8 @@ class KnotVector(Sequence):
         consecutive values are more than the tolerance apart."""
         n = self._degree
         inside = self._knots[n - 1 : len(self._knots) - n + 1]
-        return inside[:1] + tuple(u for prev, u in zip(inside, inside[1:])
-                                  if u - prev > self._tol)
+        return inside[:1] + tuple([u for prev, u in zip(inside, inside[1:])
+                                   if u - prev > self._tol])
 
     def _span_index(self, piece: int) -> int:
         if not 0 <= piece < len(self._spans):
@@ -192,9 +191,10 @@ class KnotVector(Sequence):
     def _spans_for(self, u) -> np.ndarray:
         """Knot span index of the piece containing each parameter of a
         scalar or 1-D u, as a (k,) array."""
-        if np.ndim(u) > 1:
-            raise ValueError(f"parameters must be a scalar or 1-D, got shape {np.shape(u)}")
-        return self._spans[np.atleast_1d(self.piece_for(u))]
+        us = np.asarray(u, dtype=float)
+        if us.ndim > 1:
+            raise ValueError(f"parameters must be a scalar or 1-D, got shape {us.shape}")
+        return self._spans[self.piece_for(us.reshape(-1))]
 
     # -- refinement -----------------------------------------------------
 
@@ -204,10 +204,7 @@ class KnotVector(Sequence):
         Every distinct knot value inside the domain gains one copy;
         auxiliary knots outside the domain are untouched.
         """
-        new = list(self._knots)
-        for value in self.inner_values():
-            bisect.insort(new, value)
-        return KnotVector(new, self._degree + 1)
+        return KnotVector(sorted(self._knots + self.inner_values()), self._degree + 1)
 
 
 class BSplineCurve:
@@ -349,7 +346,8 @@ def _dropped_blossoms(knots: KnotVector, control: np.ndarray,
     slot = np.arange(m - 1)
     keep = slot + (slot >= np.arange(m)[:, None])
     windows = args[:, keep].transpose(1, 0, 2).reshape(-1, m - 1)
-    return _blossoms(knots, control, np.tile(spans, m), windows).reshape(m, len(args), -1)
+    return _blossoms(knots, control, np.concatenate((spans,) * m),
+                     windows).reshape(m, len(args), -1)
 
 
 def _bezier_points(knots: KnotVector, control: np.ndarray) -> np.ndarray:
@@ -364,8 +362,7 @@ def _bezier_points(knots: KnotVector, control: np.ndarray) -> np.ndarray:
     # window i takes u_{j+1} in its last i slots
     upper = np.arange(n) >= n - np.arange(n + 1)[:, None]
     args = np.where(upper, hi[:, None, None], lo[:, None, None])
-    points = _blossoms(knots, control, np.repeat(spans, n + 1),
-                       args.reshape(-1, n))
+    points = _blossoms(knots, control, spans.repeat(n + 1), args.reshape(-1, n))
     return points.reshape(len(spans), n + 1, -1)
 
 
@@ -379,7 +376,7 @@ def _point_and_velocity(knots: KnotVector, control: np.ndarray,
     which is the blossom difference at (u, ..., u, t1) and (u, ..., u, t0)
     since those last stages blend with weights exactly 1 and 0."""
     n = knots.degree
-    pts = _de_boor(knots, control, spans, np.repeat(us[:, None], n - 1, axis=1), n - 1)
+    pts = _de_boor(knots, control, spans, us[:, None].repeat(n - 1, axis=1), n - 1)
     t0, t1 = knots._array[spans], knots._array[spans + 1]
     w = (us - t0) / (t1 - t0)
     point = (1.0 - w) * pts[n - 1] + w * pts[n]
@@ -409,10 +406,10 @@ def _windows(target: KnotVector,
     m = target.degree
     rows = np.arange(target.control_count)
     spans = target._spans
-    first = np.searchsorted(spans, rows - 1, side="left")
-    count = np.searchsorted(spans, rows + m - 1, side="right") - first
-    if not np.all(count):
-        i = int(np.argmin(count))
+    first = spans.searchsorted(rows - 1, side="left")
+    count = spans.searchsorted(rows + m - 1, side="right") - first
+    if not count.all():
+        i = int(count.argmin())
         raise RuntimeError(f"no valid piece for knot window {i} (malformed knots)")
     j = spans[first + count // 2]
     kn = target._array

@@ -106,7 +106,15 @@ def _chebyshev_tables() -> tuple[np.ndarray, ...]:
 
 
 def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    return float(np.linalg.det(np.column_stack((a, b, c))))
+    return float(np.linalg.det(np.array((a, b, c)).T))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a × b of two 3-vectors, written out in the products and differences
+    np.cross makes, so bit for bit its result at a fraction of its cost."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +137,7 @@ def _ratio_weights(knots: KnotVector, count: int, m) -> np.ndarray:
     below = m - u[: last - 1]
     above = u[n + 1 : n + last]
     weights = np.ones((len(m), last))
-    weights[:, :-1] = np.cumprod(((m - above) / below)[:, ::-1], axis=1)[:, ::-1]
+    weights[:, :-1] = ((m - above) / below)[:, ::-1].cumprod(axis=1)[:, ::-1]
     weights[:, 1:] *= (above - u[: last - 1]) / below
     return weights
 
@@ -152,7 +160,7 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     function.  Roots within ``exclusion_radius`` of a split are dropped."""
     splits = np.asarray(splits, dtype=float)
     a, b = splits[0], splits[-1]
-    gaps = np.diff(splits)
+    gaps = splits[1:] - splits[:-1]
     # interval 0 is the ray below a, 1..s-1 lie between splits, s is the ray
     # above b; m = start + length·(1+x)/2, or start + length·(1+x)/(1−x) on
     # a ray
@@ -164,11 +172,10 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
                              np.sqrt(gaps[-1:] * (b - a))))
     far = np.concatenate(([b], splits[:-1], [a]))
     # the poles at an interval's ends are a run of the ascending poles
-    group = np.maximum(np.searchsorted(splits, poles, side="right") - 1, 0)
-    first = np.searchsorted(group, np.concatenate(([0], np.arange(s))))
-    count = np.searchsorted(
-        group, np.concatenate(([0], np.arange(1, s), [s - 1])),
-        side="right") - first
+    group = np.maximum(splits.searchsorted(poles, side="right") - 1, 0)
+    first = group.searchsorted(np.concatenate(([0], np.arange(s))))
+    count = group.searchsorted(
+        np.concatenate(([0], np.arange(1, s), [s - 1])), side="right") - first
     slots = np.arange(count.max(initial=0))
     is_end = slots < count[:, None]
     ends = np.zeros(is_end.shape)
@@ -183,8 +190,8 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
         # the interval's function and the sums of absolute terms behind it
         m = to_m(piece, x)
         values, sizes = evaluate(m.ravel())
-        factor = (np.prod(m[..., None] - ends[piece], axis=-1,
-                          where=is_end[piece])
+        factor = (np.multiply.reduce(m[..., None] - ends[piece], axis=-1,
+                                     where=is_end[piece])
                   / (m - far[piece]) ** far_power[piece])
         return (values.reshape(m.shape) * factor,
                 sizes.reshape(m.shape) * np.abs(factor))
@@ -199,21 +206,21 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
         values, sizes = sample(piece[:, None],
                                mid[:, None] + half[:, None] * _NODES)
         coef = values @ _BASIS
-        tol = CHEB_TAIL_REL * np.max(sizes, axis=1)
-        tail = np.max(np.abs(coef[:, -(CHEB_POINTS // 4):]), axis=1)
+        tol = CHEB_TAIL_REL * np.maximum.reduce(sizes, axis=1)
+        tail = np.maximum.reduce(np.abs(coef[:, -(CHEB_POINTS // 4):]), axis=1)
         # a piece with non-finite samples has no roots to find
-        done = (tail <= tol) | ~np.all(np.isfinite(coef), axis=1) \
+        done = (tail <= tol) | ~np.logical_and.reduce(np.isfinite(coef), axis=1) \
             | (halvings == CHEB_MAX_HALVINGS)
         converged.append((piece[done], mid[done], half[done], coef[done],
                           tol[done]))
         piece, lo, mid, hi = piece[~done], lo[~done], mid[~done], hi[~done]
         if not piece.size:
             break
-        piece = np.repeat(piece, 2)
-        lo, hi = np.ravel((lo, mid), order="F"), np.ravel((mid, hi), order="F")
+        piece = piece.repeat(2)
+        lo = np.array((lo, mid)).ravel(order="F")
+        hi = np.array((mid, hi)).ravel(order="F")
 
-    piece, mid, half, coef, tol = (np.concatenate(column)
-                                   for column in zip(*converged))
+    piece, mid, half, coef, tol = map(np.concatenate, zip(*converged))
     row, t = _interpolant_roots(coef, tol)
     if not row.size:
         return []
@@ -223,10 +230,10 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     # one root per cluster at its mean x; a lone eigenvalue is a simple
     # root, polished by a Newton step whose slope is a central difference
     # over half the merge tolerance (at a multiple root that slope is noise)
-    label = np.cumsum(np.concatenate(([0], (np.diff(piece) != 0)
-                                      | (np.diff(x) > CHEB_MERGE_TOL))))
+    label = np.concatenate(([0], (piece[1:] != piece[:-1])
+                            | (x[1:] - x[:-1] > CHEB_MERGE_TOL))).cumsum()
     members = np.bincount(label)
-    piece = piece[np.cumsum(members) - 1]
+    piece = piece[members.cumsum() - 1]
     x = np.bincount(label, x) / members
     finite = ~ray[piece] | (x < 1.0 - CHEB_MERGE_TOL)
     piece, x, members = piece[finite], x[finite], members[finite]
@@ -235,10 +242,11 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
         below, at, above = sample(piece[:, None], x[:, None] + (-h, 0.0, h))[0].T
         step = at * 2.0 * h / (above - below)
     x = np.where((members == 1) & (np.abs(step) <= CHEB_MERGE_TOL), x - step, x)
-    m = to_m(piece, np.clip(x, -1.0, np.where(ray[piece],
-                                              1.0 - CHEB_MERGE_TOL, 1.0)))
-    keep = np.all(np.abs(m[:, None] - splits) > exclusion_radius, axis=1)
-    return sorted(float(r) for r in m[keep])
+    m = to_m(piece, x.clip(-1.0, np.where(ray[piece], 1.0 - CHEB_MERGE_TOL,
+                                          1.0)))
+    keep = np.logical_and.reduce(np.abs(m[:, None] - splits) > exclusion_radius,
+                                 axis=1)
+    return sorted(m[keep].tolist())
 
 
 def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
@@ -265,12 +273,12 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
     size = coef.shape[1]
     big = np.abs(coef) > tol[:, None]
     # the series with a root to look for
-    rows = np.flatnonzero(np.all(np.isfinite(coef), axis=1)
-                          & np.any(big[:, 1:], axis=1)
-                          & (np.abs(coef[:, 0])
-                             <= np.sum(np.abs(coef[:, 1:]), axis=1)))
+    rows = (np.logical_and.reduce(np.isfinite(coef), axis=1)
+            & np.logical_or.reduce(big[:, 1:], axis=1)
+            & (np.abs(coef[:, 0]) <= np.add.reduce(np.abs(coef[:, 1:]), axis=1))
+            ).nonzero()[0]
     # the series as chebroots gets them, cut to the longest among them
-    top = size - np.argmax(big[rows, ::-1], axis=1)
+    top = size - big[rows, ::-1].argmax(axis=1)
     terms = np.arange(top.max(initial=1))
     c = np.where(terms < top[:, None], coef[rows, : len(terms)], 0.0)
     t = tol[rows, None]
@@ -278,31 +286,31 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
     # each sub-interval's series and derivative series, and how far their
     # constant terms exceed the sum of the other terms' sizes
     sub = (c @ _SPLIT[: len(terms)]).reshape(len(rows), CHEB_SPLIT, size)
-    sizes = np.abs(np.stack((sub, sub @ _DERIVATIVE), axis=1))
-    margin = 2.0 * sizes[..., 0] - np.sum(sizes, axis=-1)
+    sizes = np.abs(np.array((sub, sub @ _DERIVATIVE)))
+    margin = 2.0 * sizes[..., 0] - np.add.reduce(sizes, axis=-1)
     values = sub @ _CELLS
     ends = values[..., [0, -1]]
-    free = margin[:, 0] > t
-    monotone = (margin[:, 1] > t) & np.all(np.abs(ends) > t[..., None],
-                                           axis=-1)
-    settled = np.all(free | monotone, axis=1)
+    free = margin[0] > t
+    monotone = (margin[1] > t) & np.logical_and.reduce(
+        np.abs(ends) > t[..., None], axis=-1)
+    settled = np.logical_and.reduce(free | monotone, axis=1)
     crossing = monotone & settled[:, None] & (
         (ends[..., 0] < 0) != (ends[..., 1] < 0))
 
     # each root starts from linear interpolation in the cell where the
     # values change sign and stays in that cell; its Newton steps run on
     # the series itself, whose roots chebroots would report
-    r, k = np.nonzero(crossing)
+    r, k = crossing.nonzero()
     negative = values[r, k] < 0
-    cell = np.argmax(negative[:, 1:] != negative[:, :-1], axis=1)
+    cell = (negative[:, 1:] != negative[:, :-1]).argmax(axis=1)
     below = values[r, k, cell]
     width = 2.0 / CHEB_CELLS
     start = -1.0 + width * cell
     share = below / (below - values[r, k, cell + 1])
     lo, x, hi = (_CENTRES[k] + _HALF * y
                  for y in (start, start + width * share, start + width))
-    pair = np.stack((c[r], c[r] @ _DERIVATIVE[: len(terms), : len(terms)]),
-                    axis=1)
+    pair = np.concatenate((c[r], c[r] @ _DERIVATIVE[: len(terms), : len(terms)]),
+                          axis=1).reshape(len(r), 2, len(terms))
 
     def at(points, series):
         # T_k(x) = cos(k·arccos x), also for the |x| > 1 the window allows
@@ -311,17 +319,17 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
 
     for _ in range(CHEB_NEWTON_STEPS):
         value, slope = at(x[:, None], pair)[..., 0].T
-        x = np.clip(x - value / slope, lo, hi)
+        x = (x - value / slope).clip(lo, hi)
     # the steps need not have converged (a vertex just past the window can
     # throw them off), so the sign change is checked
-    probe = np.clip(x[:, None] + (-CHEB_ROOT_TOL, CHEB_ROOT_TOL),
-                    lo[:, None], hi[:, None])
+    probe = (x[:, None] + (-CHEB_ROOT_TOL, CHEB_ROOT_TOL)).clip(lo[:, None],
+                                                                hi[:, None])
     near = at(probe, c[r][:, None])[:, 0]
     settled[r[np.sign(near[:, 0]) * np.sign(near[:, 1]) > 0]] = False
     x = x[settled[r]]
     r = r[settled[r]]
 
-    rest = np.flatnonzero(~settled)
+    rest = (~settled).nonzero()[0]
     found = [chebroots(c[k, : top[k]]) for k in rest]
     row = np.concatenate([r] + [np.full(len(z), k)
                                 for k, z in zip(rest, found)])
@@ -329,16 +337,6 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
     real = (np.abs(z.imag) <= CHEB_IMAG_TOL) \
         & (np.abs(z.real) <= 1.0 + CHEB_IMAG_TOL)
     return rows[row[real]], z.real[real]
-
-
-def _check_directions(v: np.ndarray, w: np.ndarray) -> None:
-    nv, nw = np.linalg.norm(v), np.linalg.norm(w)
-    if nv == 0.0 or nw == 0.0:
-        raise ValueError("ruling directions must be nonzero vectors")
-    if np.linalg.norm(np.cross(v, w)) <= RULING_PARALLEL_TOL * nv * nw:
-        raise CylinderCaseError(
-            "end ruling directions are parallel; the surface would be a "
-            "cylinder, which this construction does not cover")
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +388,13 @@ def _require_clamped(knots: KnotVector) -> None:
             "the degree) so that the boundary rulings attach to c_0 and c_L")
 
 
-def _line_scale(offset: np.ndarray, direction: np.ndarray, what: str) -> float:
+def _line_scale(offset: np.ndarray, direction: np.ndarray, dir_len: float,
+                what: str) -> float:
     off_len = float(np.linalg.norm(offset))
-    dir_len = float(np.linalg.norm(direction))
     if off_len == 0.0:
         raise ValueError(f"{what} coincides with the curve endpoint; "
                          "the anchored ruling would have zero length")
-    if np.linalg.norm(np.cross(offset, direction)) > \
+    if np.linalg.norm(_cross(offset, direction)) > \
             ANCHOR_LINE_TOL * off_len * dir_len:
         raise ValueError(f"{what} does not lie on its prescribed ruling line")
     return float(offset @ direction) / float(direction @ direction)
@@ -415,31 +413,40 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
     if (d0 is None) == (dL is None):
         raise ValueError("anchor exactly one endpoint: d0 or dL")
 
-    _check_directions(v, w)
+    nv, nw = float(np.linalg.norm(v)), float(np.linalg.norm(w))
+    if nv == 0.0 or nw == 0.0:
+        raise ValueError("ruling directions must be nonzero vectors")
+    normal = _cross(v, w)
+    normal_len = np.linalg.norm(normal)
+    if normal_len <= RULING_PARALLEL_TOL * nv * nw:
+        raise CylinderCaseError(
+            "end ruling directions are parallel; the surface would be a "
+            "cylinder, which this construction does not cover")
     ctrl = curve.control
     knots = curve.knots
     if d0 is not None:
         d0 = as_point3(d0)
-        sigma_given = _line_scale(d0 - ctrl[0], v, "anchor point d0")
+        sigma_given = _line_scale(d0 - ctrl[0], v, nv, "anchor point d0")
     else:
         dL = as_point3(dL)
-        tau_given = _line_scale(dL - ctrl[-1], w, "anchor point dL")
+        tau_given = _line_scale(dL - ctrl[-1], w, nw, "anchor point dL")
 
-    normal = np.cross(v, w)
     offsets = ctrl[:-1] - ctrl[-1]
     deltas = offsets @ normal
-    if np.max(np.abs(deltas), initial=0.0) <= PLANAR_DET_REL * np.linalg.norm(
-            normal) * np.max(np.linalg.norm(offsets, axis=1), initial=0.0):
+    if np.abs(deltas).max(initial=0.0) <= PLANAR_DET_REL * normal_len \
+            * np.linalg.norm(offsets, axis=1).max(initial=0.0):
         raise PlanarSurfaceError(
             "curve and rulings are coplanar; the patch is a plane piece and "
             "every interior parameter works")
     gap = ctrl[-1] - ctrl[0]
     gap_len = float(np.linalg.norm(gap))
     if gap_len == 0.0 or abs(_det3(gap, v, w)) <= \
-            CONE_TOL * gap_len * np.linalg.norm(v) * np.linalg.norm(w):
+            CONE_TOL * gap_len * nv * nw:
         raise ConeCaseError(
             "end ruling lines intersect; the surface would be a cone, which "
             "this construction does not cover")
+
+    sizes = np.abs(deltas)
 
     def compatibility(m):
         # values and sums of absolute terms, one block of weights at a time
@@ -448,7 +455,7 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
         for i in range(0, len(m), rows):
             weights = _ratio_weights(knots, len(ctrl), m[i : i + rows])
             out[0, i : i + rows] = weights @ deltas
-            out[1, i : i + rows] = np.abs(weights) @ np.abs(deltas)
+            out[1, i : i + rows] = np.abs(weights) @ sizes
         return out
 
     a, b = curve.domain
@@ -475,8 +482,8 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
     # (alpha, beta): coordinates of a(M*) − c_L in the (v, w) frame
     alpha = _det3(offset, w, normal) / gram
     beta = _det3(v, offset, normal) / gram
-    if abs(alpha) * np.linalg.norm(v) <= 1e-12 * offset_scale or \
-            abs(beta) * np.linalg.norm(w) <= 1e-12 * offset_scale:
+    if abs(alpha) * nv <= 1e-12 * offset_scale or \
+            abs(beta) * nw <= 1e-12 * offset_scale:
         raise InfeasibleProblemError(
             "a boundary ruling scale is pinned to zero for this root; the "
             "prescribed endpoint cannot be reached")
@@ -538,14 +545,13 @@ def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve, f_a: float,
                              spans, args)
     own, opp = both[..., :3], both[..., 3:]
     slope = (f_b - f_a) / (b - a)
-    f = slope * args + (f_a - slope * a)
-    elevated = np.zeros((len(args), 3))
-    moved = np.zeros((len(args), 3))
-    for j in range(n + 1):
-        elevated += own[j]
-        f_j = f[:, j, None]
-        moved += f_j * opp[j]
-        moved += (1.0 - f_j) * own[j]
+    f = (slope * args + (f_a - slope * a)).T[..., None]
+    # f_j·opp_j, then (1 − f_j)·own_j, for j = 0..n: summed from zero in
+    # that order by one reduction over the outer axis
+    terms = np.concatenate((f * opp, (1.0 - f) * own), axis=1)
+    moved = np.add.reduce(terms.reshape(2 * (n + 1), len(args), 3), axis=0,
+                          initial=0.0)
+    elevated = np.add.reduce(own, axis=0, initial=0.0)
     return (BSplineCurve(knots, elevated / (n + 1)),
             BSplineCurve(knots, moved / (n + 1)))
 

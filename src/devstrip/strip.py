@@ -88,7 +88,7 @@ class DevelopableStrip(RuledPatch):
         self._lambda_star = float(lambda_star)
         self._m_star = float(m_star)
         residuals = control_relation_residuals(base, opposite, lambda_star, m_star)
-        worst = int(np.argmax(residuals))
+        worst = int(residuals.argmax())
         if residuals[worst] > CONTROL_RELATION_TOL:
             raise ValueError(
                 f"control relation fails at cell {worst}: residual "
@@ -133,20 +133,21 @@ def propagate_polygon(
     lam = float(lambda_star)
     m = float(m_star)
     lo, hi = u._array[:cells], u._array[n : n + cells]
-    near = np.flatnonzero(np.abs(m - lo) <= guard)
+    near = (np.abs(m - lo) <= guard).nonzero()[0]
     if near.size:
         i = int(near[0])
         raise ValueError(
             f"m_star = {m} is within the pole guard of knot {i} = {u[i]}"
         )
     # the c-terms of every cell's numerator, then the recursion through d
+    # in Python floats: the same IEEE operations, coordinate by coordinate
     fixed = (hi - lam)[:, None] * control[:-1] + (lam - lo)[:, None] * control[1:]
-    carry = (m - hi).tolist()
-    divide = (m - lo).tolist()
-    d = np.empty_like(control)
-    d[0] = as_point3(d0)
-    for i in range(cells):
-        d[i + 1] = (fixed[i] + carry[i] * d[i]) / divide[i]
+    x, y, z = as_point3(d0).tolist()
+    d = [(x, y, z)]
+    for (f, g, h), k, q in zip(fixed.tolist(), (m - hi).tolist(),
+                               (m - lo).tolist()):
+        x, y, z = (f + k * x) / q, (g + k * y) / q, (h + k * z) / q
+        d.append((x, y, z))
     return BSplineCurve(u, d)
 
 
@@ -168,8 +169,8 @@ def control_relation_residuals(
     m = float(m_star)
     scale = max(
         1.0,
-        float(np.max(np.linalg.norm(c, axis=1))),
-        float(np.max(np.linalg.norm(d, axis=1))),
+        float(np.linalg.norm(c, axis=1).max()),
+        float(np.linalg.norm(d, axis=1).max()),
     )
     floor = 1e-12 * scale
     lo = base.knots._array[:cells, None]
