@@ -15,16 +15,17 @@ both boundaries and the developability_scan record of the final patch at
 parameter, samples used and skipped.  Every float is written as float.hex,
 so two records compare exactly.
 
---compare lists the cases whose outcome or root count changed, then the
-largest move of a root (over max(1, |root|)), of lambda* and tau (over
-max(1, |value|)) and of a control point (over max(1, the largest
-coordinate)) among the cases solved on both sides, the largest absolute
-change of a scan's max residual, and the count of cases whose control
-points are not bit-identical.  It lists every case whose scan record
-changed, with the old and new fields.  It exits 1 when an outcome, a root
-count, a scan's samples or skipped count, or a scan's verdict against
-devstrip's VERIFY_TOL (max residual at most the tolerance) differs, or a
-case is missing from one record.
+--compare lists every case whose scan record changed, with the old and new
+fields, then the changes that make it exit 1, then a summary: the count of
+cases whose control points are not bit-identical, the largest move of a
+root (over max(1, |root|)), of lambda* and tau (over max(1, |value|)) and
+of a control point (over max(1, the largest coordinate)) among the cases
+solved on both sides, and the largest absolute change of a scan's max
+residual.  It exits 1 when an outcome, a root count, a scan's samples or
+skipped count, or a scan's verdict against devstrip's VERIFY_TOL (max
+residual at most the tolerance) differs, or a case is missing from one
+record.  Those lines come last, above the summary, so that a long list of
+rescanned cases does not bury them.
 """
 
 import argparse
@@ -153,7 +154,7 @@ def compare(old_path: str, new_path: str) -> int:
         moves["control"] = max([moves["control"]] + [
             abs(y - x) / scale for p, q in zip(pa, pb) for x, y in zip(p, q)])
 
-    for line in changed + rescanned:
+    for line in rescanned + changed:
         print(line)
     print(f"{len(old)} and {len(new)} solves, {len(changed)} changed, "
           f"{solved} solved on both sides with the same root count; "

@@ -39,6 +39,14 @@ OUT_OF_PLANE_TOL = 1e-9
 # Data are planar when every det(c_i − c_L, v, w) is below this fraction of
 # max ‖c_i − c_L‖ · ‖v × w‖, the largest value such a determinant can take.
 PLANAR_DET_REL = 1e-12
+# Problems 2 and 3 take w = dL − c_L, so the last ruling of the two-ruling
+# strip is τ·w: τ is unit-free, the factor by which the rescale divides
+# that ruling.  At |τ| up to this, the prescribed corner collapses.
+TAU_TOL = 1e-12
+# A prescribed apex velocity is the curve's own start velocity when the two
+# differ by up to this fraction of the larger of them (and of 1): the first
+# ruling, (b − a) times the difference, is then a point.
+APEX_VELOCITY_REL = 1e-12
 
 # The compatibility function is evaluated in blocks of weights of at most
 # this many entries (64 kB), so its temporaries stay small at any L.
@@ -190,8 +198,8 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
         # the interval's function and the sums of absolute terms behind it
         m = to_m(piece, x)
         values, sizes = evaluate(m.ravel())
-        factor = (np.multiply.reduce(m[..., None] - ends[piece], axis=-1,
-                                     where=is_end[piece])
+        factor = ((m[..., None] - ends[piece]).prod(axis=-1,
+                                                    where=is_end[piece])
                   / (m - far[piece]) ** far_power[piece])
         return (values.reshape(m.shape) * factor,
                 sizes.reshape(m.shape) * np.abs(factor))
@@ -206,10 +214,10 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
         values, sizes = sample(piece[:, None],
                                mid[:, None] + half[:, None] * _NODES)
         coef = values @ _BASIS
-        tol = CHEB_TAIL_REL * np.maximum.reduce(sizes, axis=1)
-        tail = np.maximum.reduce(np.abs(coef[:, -(CHEB_POINTS // 4):]), axis=1)
+        tol = CHEB_TAIL_REL * sizes.max(axis=1)
+        tail = np.abs(coef[:, -(CHEB_POINTS // 4):]).max(axis=1)
         # a piece with non-finite samples has no roots to find
-        done = (tail <= tol) | ~np.logical_and.reduce(np.isfinite(coef), axis=1) \
+        done = (tail <= tol) | ~np.isfinite(coef).all(axis=1) \
             | (halvings == CHEB_MAX_HALVINGS)
         converged.append((piece[done], mid[done], half[done], coef[done],
                           tol[done]))
@@ -244,8 +252,7 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     x = np.where((members == 1) & (np.abs(step) <= CHEB_MERGE_TOL), x - step, x)
     m = to_m(piece, x.clip(-1.0, np.where(ray[piece], 1.0 - CHEB_MERGE_TOL,
                                           1.0)))
-    keep = np.logical_and.reduce(np.abs(m[:, None] - splits) > exclusion_radius,
-                                 axis=1)
+    keep = (np.abs(m[:, None] - splits) > exclusion_radius).all(axis=1)
     return sorted(m[keep].tolist())
 
 
@@ -273,9 +280,8 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
     size = coef.shape[1]
     big = np.abs(coef) > tol[:, None]
     # the series with a root to look for
-    rows = (np.logical_and.reduce(np.isfinite(coef), axis=1)
-            & np.logical_or.reduce(big[:, 1:], axis=1)
-            & (np.abs(coef[:, 0]) <= np.add.reduce(np.abs(coef[:, 1:]), axis=1))
+    rows = (np.isfinite(coef).all(axis=1) & big[:, 1:].any(axis=1)
+            & (np.abs(coef[:, 0]) <= np.abs(coef[:, 1:]).sum(axis=1))
             ).nonzero()[0]
     # the series as chebroots gets them, cut to the longest among them
     top = size - big[rows, ::-1].argmax(axis=1)
@@ -287,13 +293,12 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
     # constant terms exceed the sum of the other terms' sizes
     sub = (c @ _SPLIT[: len(terms)]).reshape(len(rows), CHEB_SPLIT, size)
     sizes = np.abs(np.array((sub, sub @ _DERIVATIVE)))
-    margin = 2.0 * sizes[..., 0] - np.add.reduce(sizes, axis=-1)
+    margin = 2.0 * sizes[..., 0] - sizes.sum(axis=-1)
     values = sub @ _CELLS
     ends = values[..., [0, -1]]
     free = margin[0] > t
-    monotone = (margin[1] > t) & np.logical_and.reduce(
-        np.abs(ends) > t[..., None], axis=-1)
-    settled = np.logical_and.reduce(free | monotone, axis=1)
+    monotone = (margin[1] > t) & (np.abs(ends) > t[..., None]).all(axis=-1)
+    settled = (free | monotone).all(axis=1)
     crossing = monotone & settled[:, None] & (
         (ends[..., 0] < 0) != (ends[..., 1] < 0))
 
@@ -549,9 +554,8 @@ def _rescaled_pair(base: BSplineCurve, opposite: BSplineCurve, f_a: float,
     # f_j·opp_j, then (1 − f_j)·own_j, for j = 0..n: summed from zero in
     # that order by one reduction over the outer axis
     terms = np.concatenate((f * opp, (1.0 - f) * own), axis=1)
-    moved = np.add.reduce(terms.reshape(2 * (n + 1), len(args), 3), axis=0,
-                          initial=0.0)
-    elevated = np.add.reduce(own, axis=0, initial=0.0)
+    moved = terms.reshape(2 * (n + 1), len(args), 3).sum(axis=0, initial=0.0)
+    elevated = own.sum(axis=0, initial=0.0)
     return (BSplineCurve(knots, elevated / (n + 1)),
             BSplineCurve(knots, moved / (n + 1)))
 
@@ -569,7 +573,7 @@ def solve_problem2(curve: BSplineCurve, d0, dL,
     w = dL - curve.control[-1]
     inner = solve_problem1(curve, v, w, d0=d0, root_choice=root_choice)
     tau = inner.tau
-    if abs(tau) <= 1e-12:
+    if abs(tau) <= TAU_TOL:
         raise DegenerateCaseError(
             "last ruling scale vanishes; the prescribed corner collapses "
             "onto the curve")
@@ -595,7 +599,7 @@ def apex_direction(curve: BSplineCurve, d_prime_a) -> np.ndarray:
     v = (b - a) * (d_prime_a - start_velocity)
     scale = max(1.0, float(np.linalg.norm(d_prime_a)),
                 float(np.linalg.norm(start_velocity)))
-    if np.linalg.norm(v) <= 1e-12 * (b - a) * scale:
+    if np.linalg.norm(v) <= APEX_VELOCITY_REL * (b - a) * scale:
         raise DegenerateCaseError(
             "prescribed start velocity equals the curve's own; the first "
             "ruling degenerates to a point before collapsing")

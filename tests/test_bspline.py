@@ -44,6 +44,15 @@ class TestKnotVector:
         assert values == (0.0, 0.5, 1.0)
         assert min(np.diff(values)) > knots.knot_tolerance
 
+    @pytest.mark.parametrize("factor, values", [(0.5, 3), (2.0, 4)])
+    def test_knot_eq_rel(self, factor, values):
+        # on a domain of length 2, inner knots factor * KNOT_EQ_REL * 2
+        # apart are one knot at 0.5 and two at 2
+        gap = factor * bspline.KNOT_EQ_REL * 2.0
+        knots = KnotVector([0.0, 0.0, 1.0, 1.0 + gap, 2.0, 2.0], 2)
+        assert len(knots.inner_values()) == values
+        assert knots.pieces == values - 1
+
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             KnotVector([0.0, 1.0, 1.0, 2.0], 3)

@@ -55,6 +55,14 @@ PUBLIC_NAMES = [
     "solve_problem1", "solve_problem2", "solve_problem3", "solve_spec",
 ]
 
+NUMPY_WRAPPERS = {
+    "all", "any", "argmax", "argmin", "atleast_1d", "clip", "column_stack",
+    "cross", "cumprod", "cumsum", "diff", "flatnonzero", "max", "min", "ndim",
+    "nonzero", "prod", "ravel", "repeat", "searchsorted", "shape", "stack",
+    "sum", "tile",
+}
+
+
 
 class TestTopLevel:
 
@@ -88,6 +96,23 @@ class TestTopLevel:
                         for name, line in imported.items()
                         if name not in used | exported)
         assert not unused, f"{module} imports unused names: {unused}"
+
+    @pytest.mark.parametrize("module", ["bspline.py", "solvers.py",
+                                        "strip.py"])
+    def test_solve_path_calls_no_numpy_wrapper(self, module):
+        # np.cross, and numpy's Python-level wrappers of the ndarray methods
+        # and ufunc reductions the solve path calls directly: each costs
+        # several interpreter calls per use
+        tree = ast.parse((SOURCES / module).read_text())
+        calls = sorted((node.lineno, node.func.attr)
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Attribute)
+                       and isinstance(node.func.value, ast.Name)
+                       and node.func.value.id == "np"
+                       and node.func.attr in NUMPY_WRAPPERS)
+        assert not calls, "numpy wrappers called: " + ", ".join(
+            f"{module} line {line}: np.{name}" for line, name in calls)
 
     def test_version_banner(self, capsys):
         assert run_cli(["--version"]) == 0

@@ -253,3 +253,31 @@ class TestScripts:
         assert (flipped in out) == bool(code)
         assert "largest absolute change of a scan residual: " \
             f"{residual:.3g}" in out
+
+    def test_solve_census_prints_failures_above_the_summary(
+            self, tmp_path, monkeypatch, capsys, census_record):
+        # every solved case gets another scan record (its argmax moves), and
+        # one in the middle also flips its verdict
+        lines = [json.loads(line)
+                 for line in census_record.read_text().splitlines()]
+        solved = [line for line in lines if line["outcome"] == "solved"]
+        for line in solved:
+            line["scan"][1] = (float.fromhex(line["scan"][1]) + 1e-3).hex()
+        flipped = solved[len(solved) // 2]
+        assert float.fromhex(flipped["scan"][0]) < VERIFY_TOL
+        flipped["scan"][0] = (1.5 * VERIFY_TOL).hex()
+        moved = tmp_path / "moved.jsonl"
+        moved.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        script = load_script("solve_census", monkeypatch)
+        assert script.main(["--compare", str(census_record),
+                            str(moved)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        rescans = [i for i, line in enumerate(out) if ": scan [" in line]
+        assert len(rescans) == len(solved) > 1
+        # the one failing line sits between the rescans and the summary
+        assert rescans == list(range(len(solved)))
+        assert out[len(solved)].startswith(
+            f"{flipped['case']}: scan verdict against 1e-08 flipped")
+        assert out[len(solved) + 1].startswith(
+            f"{len(lines)} and {len(lines)} solves, 1 changed")
+        assert len(out) == len(solved) + 4

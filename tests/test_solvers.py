@@ -7,6 +7,7 @@ to tight tolerances.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -386,6 +387,35 @@ class TestNamedTolerances:
         # c_0 stays in the plane, so the end ruling lines still meet
         with pytest.raises(ConeCaseError):
             solve(2.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tau_tol(self, cubic, cubic_p1, monkeypatch, sign):
+        # the two-ruling record stubbed with its tau at the edge
+        def solve(factor):
+            tau = sign * factor * solvers.TAU_TOL
+            monkeypatch.setattr(solvers, "solve_problem1",
+                                lambda *args, **kwargs: replace(cubic_p1,
+                                                                tau=tau))
+            return solve_problem2(cubic, ref.CORNER_D0, ref.CORNER_DL)
+
+        with pytest.raises(DegenerateCaseError, match="collapses"):
+            solve(0.5)
+        assert solve(2.0).tau == sign * 2.0 * solvers.TAU_TOL
+
+    def test_apex_velocity_rel(self, cubic):
+        # the prescribed velocity differs from the curve's own by h along z,
+        # so the first ruling is (b - a) h long against the threshold
+        # (b - a) APEX_VELOCITY_REL max(1, |d'(a)|, |c'(a)|)
+        own = cubic.derivative_at(cubic.domain[0])
+        scale = max(1.0, float(np.linalg.norm(own)))
+
+        def direction(factor):
+            h = factor * solvers.APEX_VELOCITY_REL * scale
+            return apex_direction(cubic, own + (0.0, 0.0, h))
+
+        with pytest.raises(DegenerateCaseError, match="degenerates"):
+            direction(0.5)
+        assert direction(2.0)[2] > 0.0
 
 
 def planted_strips(pieces, scaled):

@@ -11,6 +11,7 @@ from devstrip import (
     planarity_report,
     propagate_polygon,
 )
+from devstrip.strip import CONTROL_RELATION_TOL
 
 import reference as ref
 from helpers import (assert_point_close, assert_polygon_close, insert_knot,
@@ -156,6 +157,34 @@ class TestDevelopableStrip:
         with pytest.raises(ValueError, match="cell 1"):
             DevelopableStrip(quad_strip.base, moved,
                              ref.QUAD_LAMBDA, ref.QUAD_M)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_control_relation_tol(self, quad_strip, factor):
+        # moving d_L by h along x moves only the last cell's defect, by
+        # |m* - u_{L-1}| h over nearly the same largest term: h is scaled
+        # so that the worst normalized defect is factor times the tolerance
+        def moved(h):
+            d = np.array(quad_strip.opposite.control)
+            d[-1] += (h, 0.0, 0.0)
+            return BSplineCurve(quad_strip.knots, d)
+
+        def residuals(h):
+            return control_relation_residuals(quad_strip.base, moved(h),
+                                              ref.QUAD_LAMBDA, ref.QUAD_M)
+
+        probe = 1e-6
+        h = factor * CONTROL_RELATION_TOL * probe / residuals(probe).max()
+        last = len(quad_strip.base.control) - 2
+        assert residuals(h).argmax() == last
+        assert residuals(h).max() == pytest.approx(
+            factor * CONTROL_RELATION_TOL, rel=1e-3)
+        if factor < 1.0:
+            DevelopableStrip(quad_strip.base, moved(h), ref.QUAD_LAMBDA,
+                             ref.QUAD_M)
+        else:
+            with pytest.raises(ValueError, match=f"fails at cell {last}:"):
+                DevelopableStrip(quad_strip.base, moved(h), ref.QUAD_LAMBDA,
+                                 ref.QUAD_M)
 
     def test_zero_width_strip_is_valid(self, cubic_curve):
         strip = DevelopableStrip(cubic_curve, cubic_curve, -2.0, -2.0)
