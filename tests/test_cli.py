@@ -55,13 +55,15 @@ PUBLIC_NAMES = [
     "solve_problem1", "solve_problem2", "solve_problem3", "solve_spec",
 ]
 
+# np.cross, and numpy functions that wrap an ndarray method or a ufunc
+# reduction in several Python-level calls; the modules of the solve path
+# call the method or the ufunc itself, and write the cross product out
 NUMPY_WRAPPERS = {
     "all", "any", "argmax", "argmin", "atleast_1d", "clip", "column_stack",
     "cross", "cumprod", "cumsum", "diff", "flatnonzero", "max", "min", "ndim",
     "nonzero", "prod", "ravel", "repeat", "searchsorted", "shape", "stack",
     "sum", "tile",
 }
-
 
 
 class TestTopLevel:
@@ -100,9 +102,6 @@ class TestTopLevel:
     @pytest.mark.parametrize("module", ["bspline.py", "solvers.py",
                                         "strip.py"])
     def test_solve_path_calls_no_numpy_wrapper(self, module):
-        # np.cross, and numpy's Python-level wrappers of the ndarray methods
-        # and ufunc reductions the solve path calls directly: each costs
-        # several interpreter calls per use
         tree = ast.parse((SOURCES / module).read_text())
         calls = sorted((node.lineno, node.func.attr)
                        for node in ast.walk(tree)
