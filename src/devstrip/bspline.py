@@ -325,7 +325,9 @@ def _de_boor(knots: KnotVector, control: np.ndarray, spans: np.ndarray,
     for r in range(1, stages + 1):
         lo, hi = kn[r - 1 : n], kn[n : 2 * n + 1 - r]
         w = ((args[:, r - 1] - lo) / (hi - lo))[:, None, :]
-        pts[r:] = (1.0 - w) * pts[r - 1 : n] + w * pts[r:]
+        kept = (1.0 - w) * pts[r - 1 : n]
+        pts[r:] *= w
+        pts[r:] += kept
     return pts
 
 

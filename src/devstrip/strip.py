@@ -167,11 +167,7 @@ def control_relation_residuals(
     cells = len(c) - 1
     lam = float(lambda_star)
     m = float(m_star)
-    scale = max(
-        1.0,
-        float(np.linalg.norm(c, axis=1).max()),
-        float(np.linalg.norm(d, axis=1).max()),
-    )
+    scale = max(1.0, float(np.linalg.norm(np.concatenate((c, d)), axis=1).max()))
     floor = 1e-12 * scale
     lo = base.knots._array[:cells, None]
     hi = base.knots._array[n : n + cells, None]
@@ -182,5 +178,6 @@ def control_relation_residuals(
         -(m - lo) * d[1:],
     )
     defect = _row_norms(terms[0] + terms[1] + terms[2] + terms[3])
-    denom = np.maximum(np.maximum.reduce([_row_norms(t) for t in terms]), floor)
+    norms = _row_norms(np.concatenate(terms)).reshape(len(terms), cells)
+    denom = np.maximum(norms.max(axis=0), floor)
     return defect / denom
