@@ -55,9 +55,9 @@ PUBLIC_NAMES = [
     "solve_problem1", "solve_problem2", "solve_problem3", "solve_spec",
 ]
 
-# np.cross, and numpy functions that wrap an ndarray method or a ufunc
-# reduction in several Python-level calls; the modules of the solve path
-# call the method or the ufunc itself, and write the cross product out
+# np.cross, and numpy functions that reach an ndarray method or a ufunc
+# through several Python-level calls; the modules of the solve path call
+# the method itself, and write the cross product out
 NUMPY_WRAPPERS = {
     "all", "any", "argmax", "argmin", "atleast_1d", "clip", "column_stack",
     "cross", "cumprod", "cumsum", "diff", "flatnonzero", "max", "min", "ndim",
