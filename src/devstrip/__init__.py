@@ -16,7 +16,7 @@ from .errors import (ConeCaseError, CylinderCaseError, DegenerateCaseError,
                      InfeasibleProblemError, PlanarSurfaceError)
 from .fileio import (ProblemSpec, SolveReport, export_obj, parse_curve,
                      parse_problem, parse_solution, serialize_curve,
-                     serialize_problem, serialize_solution)
+                     serialize_solution)
 from .solvers import (Solution, apex_direction, solve_problem1,
                       solve_problem2, solve_problem3, solve_spec)
 from .strip import (DevelopableStrip, RuledPatch, control_relation_residuals,
@@ -34,7 +34,7 @@ __all__ = [
     "apex_direction", "solve_spec",
     "DevelopabilityScan", "developability_scan",
     "planarity_report",
-    "ProblemSpec", "SolveReport", "parse_problem", "serialize_problem",
+    "ProblemSpec", "SolveReport", "parse_problem",
     "parse_curve", "serialize_curve", "parse_solution", "serialize_solution",
     "export_obj", "run_cli", "main",
     "InfeasibleProblemError", "DegenerateCaseError", "CylinderCaseError",

@@ -245,34 +245,6 @@ def parse_problem(contents: str) -> ProblemSpec:
     return spec
 
 
-def serialize_problem(spec: ProblemSpec) -> str:
-    rulings: dict = {}
-    if spec.problem_kind == "problem1":
-        rulings["v"] = list(spec.v)
-        rulings["w"] = list(spec.w)
-        rulings["anchor"] = {"end": spec.anchor_end,
-                             "point": list(spec.anchor_point)}
-    elif spec.problem_kind == "problem2":
-        rulings["d0"] = list(spec.d0)
-        rulings["dL"] = list(spec.dL)
-    else:
-        rulings["dL"] = list(spec.dL)
-        rulings["apex_velocity"] = list(spec.apex_velocity)
-    doc = {
-        "problem": spec.problem_kind,
-        "curve": {
-            "degree": spec.degree,
-            "knots": list(spec.knots),
-            "control": [list(p) for p in spec.control],
-        },
-        "rulings": rulings,
-        "root_choice": spec.root_choice,
-        "tessellation": {"u_samples": spec.u_samples,
-                         "v_samples": spec.v_samples},
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # curve and solved-surface documents
 

@@ -1,6 +1,7 @@
 """Small assertion helpers and loop references shared across test modules."""
 
 import bisect
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,36 @@ def curves_pointwise_equal(p: BSplineCurve, q: BSplineCurve,
     # Clamp against sub-ulp domain mismatch at the far endpoint.
     gaps = _row_norms(p.evaluate(us) - q.evaluate(np.clip(us, qa, qb)))
     return float(np.max(gaps, initial=0.0, where=gaps > 0.0))
+
+
+def serialize_problem(spec):
+    """The problem file of a ProblemSpec, which parse_problem reads back
+    as the same spec."""
+    rulings: dict = {}
+    if spec.problem_kind == "problem1":
+        rulings["v"] = list(spec.v)
+        rulings["w"] = list(spec.w)
+        rulings["anchor"] = {"end": spec.anchor_end,
+                             "point": list(spec.anchor_point)}
+    elif spec.problem_kind == "problem2":
+        rulings["d0"] = list(spec.d0)
+        rulings["dL"] = list(spec.dL)
+    else:
+        rulings["dL"] = list(spec.dL)
+        rulings["apex_velocity"] = list(spec.apex_velocity)
+    doc = {
+        "problem": spec.problem_kind,
+        "curve": {
+            "degree": spec.degree,
+            "knots": list(spec.knots),
+            "control": [list(p) for p in spec.control],
+        },
+        "rulings": rulings,
+        "root_choice": spec.root_choice,
+        "tessellation": {"u_samples": spec.u_samples,
+                         "v_samples": spec.v_samples},
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def quartic_real_roots(descending):

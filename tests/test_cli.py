@@ -51,7 +51,7 @@ PUBLIC_NAMES = [
     "developability_scan", "export_obj", "main", "parse_curve",
     "parse_problem", "parse_solution", "planarity_report",
     "propagate_polygon", "run_cli",
-    "serialize_curve", "serialize_problem", "serialize_solution",
+    "serialize_curve", "serialize_solution",
     "solve_problem1", "solve_problem2", "solve_problem3", "solve_spec",
 ]
 

@@ -18,12 +18,12 @@ from devstrip import (
     parse_problem,
     parse_solution,
     serialize_curve,
-    serialize_problem,
     serialize_solution,
     solve_problem3,
 )
 
 import reference as ref
+from helpers import serialize_problem
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

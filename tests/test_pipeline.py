@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from devstrip import (BSplineCurve, parse_problem, run_cli,
-                      serialize_problem, serialize_solution, solve_problem2,
-                      solve_problem3, solve_spec, solvers)
+                      serialize_solution, solve_problem2, solve_problem3,
+                      solve_spec, solvers)
 from devstrip.cli import VERIFY_TOL
 
 from helpers import (assert_polygon_close, exact_compatibility_numerator,
-                     plant_strip)
+                     plant_strip, serialize_problem)
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
