@@ -7,7 +7,11 @@
 The solves are those of the stripbench workloads pieces_sweep and elevated,
 built by stripbench's own builders and anchored as the benchmark anchors
 them: for each seed 1..N the seeded plants of both workloads, and the fixed
-high-piece corpus of pieces_sweep once.  Each solve writes one JSON line:
+high-piece corpus of pieces_sweep once.  Then, for each seed, plants the
+benchmark never draws, built here by its recipe with m* given: m* inside a
+knot interval, m* within 1e-5 to 1e-3 of an inner knot (the domain is
+[0, 1]), and |m*| from 10 to 1e4, at 2, 4 and 8 pieces, degrees 2-5 and
+every problem kind.  Each solve writes one JSON line:
 the case, its outcome ("solved" or the exception class), and for a solved
 case the roots, chosen root, lambda*, tau, the final control points of
 both boundaries and the developability_scan record of the final patch at
@@ -33,12 +37,74 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 # Samples per piece of the recorded scan: stripbench's SCAN_DENSITY.
 SCAN_SAMPLES = 20
 # devstrip.cli.VERIFY_TOL, the tolerance of `devstrip verify`; --compare
 # reads no devstrip code.
 VERIFY_TOL = 1e-8
+
+
+# The plants the benchmark never draws: where their m* lies.
+EXTRA_FAMILIES = ("inside", "near_knot", "far")
+EXTRA_PIECES = (2, 4, 8)
+EXTRA_DEGREES = (2, 3, 4, 5)
+# m* of a near_knot plant lies 10**U(NEAR_KNOT_EXPONENTS) from an inner
+# knot, and that of a far plant at ±10**U(FAR_EXPONENTS)
+NEAR_KNOT_EXPONENTS = (-5.0, -3.0)
+FAR_EXPONENTS = (1.0, 4.0)
+
+
+def plant_at(cases, rng, family, degree, pieces):
+    """stripbench's planted strip (cases.plant_strip: the same draws of the
+    knots, the base polygon, the lambda* offset and the first ruling) with
+    m* drawn for the family instead of 0.5-2 outside the domain."""
+    n = degree
+    inner = (np.arange(1, pieces) + rng.uniform(
+        -cases.KNOT_JITTER, cases.KNOT_JITTER, pieces - 1)) / pieces
+    knots = np.concatenate((np.zeros(n), inner, np.ones(n)))
+    count = pieces + n
+    steps = rng.normal(0.0, 0.6 / np.sqrt(count), (count - 1, 3))
+    steps[:, 0] += 1.0 / count
+    base = np.vstack((np.zeros(3), np.cumsum(steps, axis=0)))
+
+    if family == "inside":
+        ends = np.concatenate(([0.0], inner, [1.0]))
+        k = rng.integers(pieces)
+        m = ends[k] + rng.uniform(0.1, 0.9) * (ends[k + 1] - ends[k])
+    elif family == "near_knot":
+        m = rng.choice(inner) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(
+            *NEAR_KNOT_EXPONENTS)
+    else:
+        m = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(*FAR_EXPONENTS)
+    lam = m + rng.choice((-1.0, 1.0)) * rng.uniform(*cases.LAMBDA_OFFSET)
+    first = rng.normal(size=3)
+    first *= rng.uniform(*cases.FIRST_RULING_LENGTH) / np.linalg.norm(first)
+
+    u = knots
+    opposite = np.empty_like(base)
+    opposite[0] = base[0] + first
+    for i in range(count - 1):
+        opposite[i + 1] = ((u[i + n] - lam) * base[i]
+                           + (lam - u[i]) * base[i + 1]
+                           + (m - u[i + n]) * opposite[i]) / (m - u[i])
+    return cases.Plant(n, knots, base, opposite, float(lam), float(m))
+
+
+def extra_cases(seed, devstrip, bench):
+    """The plants of one seed that the benchmark never draws, as
+    stripbench cases named family-kind-p<pieces>-n<degree>."""
+    rng = np.random.default_rng(seed)
+    for family in EXTRA_FAMILIES:
+        for pieces in EXTRA_PIECES:
+            for degree in EXTRA_DEGREES:
+                for kind in ("problem1", "problem2", "problem3"):
+                    plant = plant_at(bench.cases, rng, family, degree, pieces)
+                    case = bench._library_case(kind, plant, True, devstrip)
+                    case.name = f"{family}-{case.name}"
+                    yield case
 
 
 def _hex(values):
@@ -73,9 +139,12 @@ def census(seeds: int, src: Path):
     import run as bench
 
     for seed in range(1, seeds + 1):
-        for workload in ("pieces_sweep", "elevated"):
-            build = bench.WORKLOADS[workload][0]
-            for case in build(seed, devstrip, None):
+        for workload in ("pieces_sweep", "elevated", "extra"):
+            if workload == "extra":
+                work = extra_cases(seed, devstrip, bench)
+            else:
+                work = bench.WORKLOADS[workload][0](seed, devstrip, None)
+            for case in work:
                 # the fixed corpus is the same for every seed
                 if not case.must_pass and seed > 1:
                     continue

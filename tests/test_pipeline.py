@@ -289,12 +289,12 @@ class TestScripts:
                                                      census_record):
         record = census_record
         lines = record.read_text().splitlines()
-        # 12 seeded pieces_sweep plants, the 24 of its fixed corpus and 32
-        # elevated ones
-        assert len(lines) == 68
+        # 12 seeded pieces_sweep plants, the 24 of its fixed corpus, 32
+        # elevated ones and 108 that the benchmark never draws
+        assert len(lines) == 176
         script = load_script("solve_census", monkeypatch)
         assert script.main(["--compare", str(record), str(record)]) == 0
-        assert "68 and 68 solves, 0 changed" in capsys.readouterr().out
+        assert "176 and 176 solves, 0 changed" in capsys.readouterr().out
 
         first = json.loads(lines[0])
         first["roots"] = first["roots"][1:]
@@ -304,6 +304,38 @@ class TestScripts:
         assert capsys.readouterr().out.startswith(
             f"{first['case']}: {len(first['roots']) + 1} -> "
             f"{len(first['roots'])} roots")
+
+    def test_solve_census_plants_m_star_where_its_family_says(
+            self, monkeypatch):
+        script = load_script("solve_census", monkeypatch)
+        spec = importlib.util.spec_from_file_location(
+            "cases", REPO / "stripbench" / "cases.py")
+        cases = importlib.util.module_from_spec(spec)
+        # a dataclass looks its module up while it is being defined
+        monkeypatch.setitem(sys.modules, "cases", cases)
+        spec.loader.exec_module(cases)
+        rng = np.random.default_rng(1)
+        for family in script.EXTRA_FAMILIES:
+            for pieces in script.EXTRA_PIECES:
+                plant = script.plant_at(cases, rng, family, 3, pieces)
+                m, inner = plant.m_star, plant.knots[3:-3]
+                ends = np.concatenate(([0.0], inner, [1.0]))
+                if family == "inside":
+                    k = ends.searchsorted(m) - 1
+                    assert 0.1 <= (m - ends[k]) / (ends[k + 1] - ends[k]) \
+                        <= 0.9
+                elif family == "near_knot":
+                    assert 1e-5 <= np.abs(inner - m).min() <= 1e-3
+                else:
+                    assert 10.0 <= abs(m) <= 1e4
+                # the planted strip satisfies the cell relation at (λ*, m*)
+                u, c, d = plant.knots, plant.base, plant.opposite
+                lam = plant.lambda_star
+                for i in range(len(c) - 1):
+                    assert_polygon_close(
+                        (u[i + 3] - lam) * c[i] + (lam - u[i]) * c[i + 1],
+                        (u[i + 3] - m) * d[i] + (m - u[i]) * d[i + 1],
+                        1e-9 * max(1.0, abs(m)) * np.abs(d).max())
 
     @pytest.mark.parametrize("residual, code", [(2e-9, 0), (1.5e-8, 1)])
     def test_solve_census_flags_a_flipped_scan_verdict(
