@@ -376,9 +376,12 @@ def _dropping_rows(n: int) -> np.ndarray:
     r = 1..n, window g = 0..r and point i = r..n, in that order, the
     argument pulled in (r-1 for window 0, r for the windows that have left
     it) and the rows of the two knots that bracket it, i-1 and i+n-r."""
-    return np.array([(r - (g == 0), i - 1, i + n - r)
+    rows = np.array([(r - (g == 0), i - 1, i + n - r)
                      for r in range(1, n + 1) for g in range(r + 1)
                      for i in range(r, n + 1)]).T
+    # the cached table is shared by every caller
+    rows.flags.writeable = False
+    return rows
 
 
 def _blossoms(knots: KnotVector, control: np.ndarray, spans: np.ndarray,

@@ -11,13 +11,15 @@ Three levels of prescription are supported, each reduced to the one before:
 ``solve_spec`` dispatches a parsed problem file to the matching solver.
 
 Candidate interior parameters are the real roots of a compatibility
-function kept in ratio-product form and found interval by interval between
-its poles, the knots; everything downstream of the chosen root is
-closed-form.
+function kept in ratio-product form, found from one eigenvalue problem on
+the unit circle when its samples are well conditioned and otherwise
+interval by interval between its poles, the knots; everything downstream
+of the chosen root is closed-form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -82,6 +84,18 @@ CHEB_SPLIT = 8
 CHEB_CELLS = 8
 CHEB_NEWTON_STEPS = 3
 CHEB_ROOT_TOL = 1e-10
+
+# The one eigenvalue problem on the unit circle (``_circle_roots``) runs when
+# the median sample size on the domain's arc is at least this fraction of
+# the largest sample size.  Its coefficients carry rounding of about eps
+# times the largest size, so there the samples on the arc, and the roots
+# they fix, keep about ten of their digits; from about 32 pieces up the
+# ratio falls below 1e-9 and the eigenvalues lose roots.
+CIRCLE_ARC_RATIO = 1e-6
+# Eigenvalues within CHEB_IMAG_TOL of the unit circle are real roots; those
+# farther off but within this are a near-real pair or a split multiple
+# root, which the per-interval path decides.
+CIRCLE_BAND = 1e-3
 
 
 def _chebyshev_tables() -> tuple[np.ndarray, ...]:
@@ -157,7 +171,11 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     ``evaluate(m)`` returns the values at an array of m and the sums of
     absolute terms behind them.  Every pole, repeated by multiplicity, sits
     on one of the ascending ``splits`` (or within the knot tolerance of
-    it), and the function stays bounded as m → ±∞.  ℝ is cut at the splits.
+    it), and the function stays bounded as m → ±∞.  Roots within
+    ``exclusion_radius`` of a split are dropped.
+
+    When its samples are well conditioned, ``_circle_roots`` gives the roots
+    from one eigenvalue problem.  Otherwise ℝ is cut at the splits.
     Each finite interval maps onto x in [-1, 1] and its function is
     multiplied by the interval's end poles.  The ray below a maps by
     m = a − s(1+x)/(1−x), with s the geometric mean of the first interval
@@ -165,8 +183,11 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     at a; the ray above b is its mirror.  Each piece gets an adaptive
     Chebyshev interpolant, whose roots ``_interpolant_roots`` finds for all
     pieces at once; each simple root then gets one Newton step on the
-    function.  Roots within ``exclusion_radius`` of a split are dropped."""
+    function."""
     splits = np.asarray(splits, dtype=float)
+    roots = _circle_roots(evaluate, poles, splits, exclusion_radius)
+    if roots is not None:
+        return roots
     a, b = splits[0], splits[-1]
     gaps = splits[1:] - splits[:-1]
     # interval 0 is the ray below a, 1..s-1 lie between splits, s is the ray
@@ -252,6 +273,120 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     x = np.where((members == 1) & (np.abs(step) <= CHEB_MERGE_TOL), x - step, x)
     m = to_m(piece, x.clip(-1.0, np.where(ray[piece], 1.0 - CHEB_MERGE_TOL,
                                           1.0)))
+    keep = (np.abs(m[:, None] - splits) > exclusion_radius).all(axis=1)
+    return sorted(m[keep].tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _circle_nodes(size: int) -> tuple[np.ndarray, ...]:
+    """The nodes z_j = exp(iθ_j), θ_j = 2π(j + 1/8)/size, as cot(θ_j/2),
+    1 - z_j and 1 + z_j, and the indices of those on the domain's arc
+    Re z <= 0.  The shift 1/8 keeps every node off z = ±1 and ±i, the
+    images of m = ∞, the domain's centre and its ends, for every size."""
+    theta = 2.0 * np.pi * (np.arange(size) + 0.125) / size
+    z = np.exp(1j * theta)
+    return _frozen(1.0 / np.tan(0.5 * theta), 1.0 - z, 1.0 + z,
+                   (z.real <= 0.0).nonzero()[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _circle_tables(size: int) -> tuple[np.ndarray, ...]:
+    """The matrix that takes a polynomial's values at the size
+    ``_circle_nodes`` to its size coefficients, ascending (z_j^-k / size),
+    and the companion matrix of a monic polynomial of degree size - 1, its
+    last column zero."""
+    theta = 2.0 * np.pi * (np.arange(size) + 0.125) / size
+    return _frozen(np.exp(-1j * theta[:, None] * np.arange(size)) / size,
+                   np.eye(size - 1, k=-1, dtype=complex))
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # cached tables are shared by every caller
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _circle_roots(evaluate, poles: np.ndarray, splits: np.ndarray,
+                  exclusion_radius: float) -> Optional[list[float]]:
+    """The roots ``_real_roots`` reports, from one eigenvalue problem, or
+    None where they are left to the per-interval path.
+
+    The map m = c + s·cot(θ/2), with c and s the centre and half-width of
+    the splits, takes the real line onto the unit circle z = exp(iθ), and
+    the domain onto its arc Re z <= 0.  The numerator
+    P(z) = f(m)·Π((c − p)(1 − z) − is(1 + z))/(2s), over the poles p, is a
+    polynomial of degree len(poles) in z: it is sampled at len(poles) + 1
+    nodes on the circle, the sums of absolute terms times the factors'
+    size giving each sample's size, and one discrete Fourier transform
+    gives its coefficients.  The eigenvalues of their companion matrix
+    within CHEB_IMAG_TOL of the circle are the real roots; each takes one
+    Newton step on f, whose slope is a central difference over half
+    CHEB_MERGE_TOL in θ, and the roots within ``exclusion_radius`` of a
+    split are dropped.
+
+    It gives None when the median sample size on the arc is below
+    CIRCLE_ARC_RATIO of the largest, and when a sample is not finite, the
+    leading coefficient is rounding (a root at z = ∞), an eigenvalue lies
+    in the band CHEB_IMAG_TOL..CIRCLE_BAND off the circle (a near-real pair
+    or a split multiple root), two roots lie within CHEB_MERGE_TOL in θ, a
+    Newton step is longer than that in θ, or a root lies at a quarter of
+    the distance at which the per-interval path takes it for the point at
+    infinity, or beyond (near z = 1)."""
+    a, b = splits[0], splits[-1]
+    c, s = 0.5 * (a + b), 0.5 * (b - a)
+    size = len(poles) + 1
+    cot, minus, plus, arc = _circle_nodes(size)
+    if not len(arc):
+        return None
+    values, sizes = evaluate(c + s * cot)
+    factor = (((c - poles) * minus[:, None] - 1j * s * plus[:, None])
+              / (2.0 * s)).prod(axis=1)
+    samples = values * factor
+    sizes = sizes * np.abs(factor)
+    largest = sizes.max()
+    on_arc = sizes[arc]
+    on_arc.sort()
+    median = 0.5 * (on_arc[(len(arc) - 1) // 2] + on_arc[len(arc) // 2])
+    if not (median >= CIRCLE_ARC_RATIO * largest
+            and np.isfinite(samples).all()):
+        return None
+    transform, companion = _circle_tables(size)
+    coef = samples @ transform
+    if not abs(coef[-1]) > CHEB_TAIL_REL * largest:
+        return None
+    companion = companion.copy()
+    companion[:, -1] = -coef[:-1] / coef[-1]
+    z = np.linalg.eigvals(companion)
+    off = np.abs(np.abs(z) - 1.0)
+    if ((off > CHEB_IMAG_TOL) & (off <= CIRCLE_BAND)).any():
+        return None
+    z = z[off <= CHEB_IMAG_TOL]
+    theta = np.arctan2(z.imag, z.real) % (2.0 * np.pi)
+    theta.sort()
+    # the per-interval path's rays run m = b + ℓ(1+x)/(1−x) above b, ℓ the
+    # geometric mean of the last interval and the domain, and mirrored
+    # below a; a root at x >= 1 − CHEB_MERGE_TOL is the point at infinity,
+    # at m − b = ℓ(2 − CHEB_MERGE_TOL)/CHEB_MERGE_TOL
+    reach = 0.25 / CHEB_MERGE_TOL * np.sqrt(
+        (splits[[-1, 1]] - splits[[-2, 0]]) * (b - a))
+    last, first = 2.0 * np.arctan(s / (s + reach))
+    if (theta[1:] - theta[:-1] <= CHEB_MERGE_TOL).any() or len(theta) and (
+            theta[0] <= last or theta[-1] >= 2.0 * np.pi - first):
+        return None
+    m = c + s / np.tan(0.5 * theta)
+    # the Newton step is in m, its half-step dm/dθ = ((m − c)² + s²)/(2s)
+    # times half CHEB_MERGE_TOL
+    scale = ((m - c) ** 2 + s * s) / (2.0 * s)
+    h = 0.5 * CHEB_MERGE_TOL * scale
+    below, at, above = evaluate(
+        (m[:, None] + h[:, None] * (-1.0, 0.0, 1.0)).ravel())[0].reshape(
+            -1, 3).T
+    slope = above - below
+    if not (np.abs(at) * 2.0 * h < CHEB_MERGE_TOL * scale * np.abs(slope)
+            ).all():
+        return None
+    m -= at * 2.0 * h / slope
     keep = (np.abs(m[:, None] - splits) > exclusion_radius).all(axis=1)
     return sorted(m[keep].tolist())
 

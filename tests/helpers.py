@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from devstrip import BSplineCurve, KnotVector, RuledPatch, planarity_report
+from devstrip import (BSplineCurve, KnotVector, RuledPatch, planarity_report,
+                      solvers)
 from devstrip.bspline import (_blossoms, _dropped_blossoms,
                               _point_and_velocity, _row_norms, _windows,
                               as_point3)
@@ -462,6 +463,38 @@ def plant_strip(rng, degree, pieces, scale=1.0):
                            + (lam - u[i]) * base[i + 1]
                            + (m - u[i + n]) * opposite[i]) / (m - u[i])
     return scale * knots, base, opposite, scale * lam, scale * m
+
+
+def seed_one_plants(kind):
+    """The benchmark's seed-1 plants of a problem kind, drawn in its order:
+    pieces_sweep's problem-1 plants at 2, 4 and 8 pieces, elevated's
+    problem-2 and problem-3 plants at 2, 4, 6 and 8 (degrees 2-5 each), as
+    (degree, knots, base, opposite)."""
+    rng = np.random.default_rng(1)
+    if kind == "problem1":
+        draws = [(p, n, kind) for p in (2, 4, 8) for n in range(2, 6)]
+    else:
+        draws = [(p, n, k) for p in (2, 4, 6, 8) for n in range(2, 6)
+                 for k in ("problem2", "problem3")]
+    plants = [(k, n) + plant_strip(rng, n, p)[:3] for p, n, k in draws]
+    return [plant[1:] for plant in plants if plant[0] == kind]
+
+
+def solve_plant(kind, degree, knots, base, opposite):
+    """Solve a planted strip as the benchmark poses a problem kind: the end
+    rulings and d_0, both corners, or the far corner and the apex velocity
+    of the patch that shrinks the strip's rulings to zero at the start."""
+    curve = BSplineCurve(knots, base, degree)
+    if kind == "problem1":
+        return solvers.solve_problem1(curve, opposite[0] - base[0],
+                                      opposite[-1] - base[-1],
+                                      d0=opposite[0])
+    if kind == "problem2":
+        return solvers.solve_problem2(curve, opposite[0], opposite[-1])
+    a, b = curve.domain
+    velocity = (degree * (base[1] - base[0]) / (knots[degree] - a)
+                + (opposite[0] - base[0]) / (b - a))
+    return solvers.solve_problem3(curve, opposite[-1], velocity)
 
 
 def exact_offset_numerator(knots, control, m):

@@ -12,13 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from devstrip import (BSplineCurve, parse_problem, run_cli,
-                      serialize_solution, solve_problem2, solve_problem3,
+from devstrip import (parse_problem, run_cli, serialize_solution,
                       solve_spec, solvers)
 from devstrip.cli import VERIFY_TOL
 
 from helpers import (assert_polygon_close, exact_compatibility_numerator,
-                     plant_strip, serialize_problem)
+                     seed_one_plants, serialize_problem, solve_plant)
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -163,21 +162,6 @@ class TestFixtureRoots:
         assert abs(Fraction(lam) - exact) <= Fraction(np.spacing(abs(lam)))
 
 
-def seed_one_plants(kind):
-    """The benchmark's seed-1 plants of a problem kind, drawn in its order:
-    pieces_sweep's problem-1 plants at 2, 4 and 8 pieces, elevated's
-    problem-2 and problem-3 plants at 2, 4, 6 and 8 (degrees 2-5 each), as
-    (degree, knots, base, opposite)."""
-    rng = np.random.default_rng(1)
-    if kind == "problem1":
-        draws = [(p, n, kind) for p in (2, 4, 8) for n in range(2, 6)]
-    else:
-        draws = [(p, n, k) for p in (2, 4, 6, 8) for n in range(2, 6)
-                 for k in ("problem2", "problem3")]
-    plants = [(k, n) + plant_strip(rng, n, p)[:3] for p, n, k in draws]
-    return [plant[1:] for plant in plants if plant[0] == kind]
-
-
 class TestPlantRoots:
     """Every root of the two-ruling solve of the seed-1 plants of 2-8
     pieces lies within ULPS ulps of a sign change of the exact-fraction
@@ -188,7 +172,8 @@ class TestPlantRoots:
     at which the sign at root ± k ulps differs: a median of 1 over the 140
     roots of the 44 solves, 50 at most for problem 1, 47 for problem 2
     and 100 for problem 3 (the outer root m = -1.919 of elevated's
-    8-piece quadratic)."""
+    8-piece quadratic).  With the roots from one eigenvalue problem on the
+    unit circle: a median of 1, and at most 71, 47 and 105."""
 
     ULPS = 128
 
@@ -202,20 +187,9 @@ class TestPlantRoots:
             return solve(curve, v, w, **anchor)
 
         monkeypatch.setattr(solvers, "solve_problem1", recorded)
-        for degree, knots, base, opposite in seed_one_plants(kind):
-            curve = BSplineCurve(knots, base, degree)
+        for plant in seed_one_plants(kind):
             rulings.clear()
-            if kind == "problem1":
-                solved = solvers.solve_problem1(
-                    curve, opposite[0] - base[0], opposite[-1] - base[-1],
-                    d0=opposite[0])
-            elif kind == "problem2":
-                solved = solve_problem2(curve, opposite[0], opposite[-1])
-            else:
-                a, b = curve.domain
-                velocity = (degree * (base[1] - base[0]) / (knots[degree] - a)
-                            + (opposite[0] - base[0]) / (b - a))
-                solved = solve_problem3(curve, opposite[-1], velocity)
+            solved = solve_plant(kind, *plant)
             (curve, v, w), = rulings
 
             def positive(m):
@@ -230,7 +204,7 @@ class TestPlantRoots:
                 assert positive(root) in (not positive(up),
                                           not positive(down)), (
                     f"no sign change within {self.ULPS} ulps of {root!r} "
-                    f"({len(base) - degree} pieces, degree {degree})")
+                    f"({curve!r})")
 
 
 class TestScripts:

@@ -6,6 +6,12 @@ products of linear factors over products of poles, so their roots are known
 exactly.
 """
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +26,9 @@ from devstrip.solvers import (CHEB_IMAG_TOL, CHEB_POINTS, CHEB_TAIL_REL,
                               _real_roots)
 
 import reference as ref
+from helpers import plant_strip, seed_one_plants, solve_plant
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def roots_of(numerator, poles, splits=None, radius=0.0, noise=None):
@@ -285,3 +294,189 @@ def test_separated_roots_are_certified_without_eigenvalues(monkeypatch):
     roots = np.cos((2 * np.arange(4) + 1) * np.pi / 8)
     assert certified_roots(np.eye(5)[4], CHEB_TAIL_REL) == pytest.approx(
         np.sort(roots), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the one eigenvalue problem on the unit circle, and when it is left out
+
+# a quartic numerator over the poles 0, 0, 1, 1: bounded at ±∞, with all
+# four roots inside the domain [0, 1]
+QUARTIC_ROOTS = [0.2, 0.45, 0.6, 0.8]
+DOMAIN_POLES = [0.0, 0.0, 1.0, 1.0]
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The path each _real_roots call takes: "circle" when _circle_roots
+    gives the roots, "intervals" when it leaves them to the per-interval
+    path."""
+    taken = []
+    circle = solvers._circle_roots
+
+    def recorded(*args):
+        roots = circle(*args)
+        taken.append("intervals" if roots is None else "circle")
+        return roots
+
+    monkeypatch.setattr(solvers, "_circle_roots", recorded)
+    return taken
+
+
+def arc_ratio(evaluate, poles, splits):
+    """The figure _circle_roots compares with CIRCLE_ARC_RATIO: the median
+    sample size on the domain's arc over the largest, sizes taken as
+    _circle_roots takes them."""
+    a, b = splits[0], splits[-1]
+    c, s = 0.5 * (a + b), 0.5 * (b - a)
+    cot, below, above, arc = solvers._circle_nodes(len(poles) + 1)
+    factor = np.prod(((c - np.asarray(poles)) * below[:, None]
+                      - 1j * s * above[:, None]) / (2.0 * s), axis=1)
+    sizes = evaluate(c + s * cot)[1] * np.abs(factor)
+    return np.median(sizes[arc]) / np.max(sizes)
+
+
+@pytest.mark.parametrize("multiple, path", [(0.5, "intervals"),
+                                            (2.0, "circle")])
+def test_circle_arc_ratio(paths, multiple, path):
+    # the sums of absolute terms outside the domain carry a cancelling
+    # term k times the value, k set so that the arc ratio is the multiple
+    # of CIRCLE_ARC_RATIO
+    numerator = Polynomial.fromroots(QUARTIC_ROOTS)
+    poles = np.array(DOMAIN_POLES)
+    splits = np.array([0.0, 1.0])
+
+    def evaluate_with(k):
+        def evaluate(m):
+            values = numerator(m) / np.prod(m[:, None] - poles, axis=1)
+            outside = (m < 0.0) | (m > 1.0)
+            return values, np.abs(values) * np.where(outside, k, 1.0)
+        return evaluate
+
+    k = arc_ratio(evaluate_with(1.0), poles, splits) / (
+        multiple * solvers.CIRCLE_ARC_RATIO)
+    evaluate = evaluate_with(k)
+    assert arc_ratio(evaluate, poles, splits) == pytest.approx(
+        multiple * solvers.CIRCLE_ARC_RATIO, rel=1e-9)
+    roots = _real_roots(evaluate, poles, splits, 0.0)
+    assert paths == [path]
+    assert roots == pytest.approx(QUARTIC_ROOTS, abs=1e-10)
+
+
+def test_circle_roots_match_the_intervals(monkeypatch):
+    numerator = Polynomial.fromroots([-2.5, 0.2, 0.45, 0.8, 7.0])
+    poles = [-1.0, 0.0, 0.0, 1.0, 1.0]
+    circle = roots_of(numerator, poles)
+    monkeypatch.setattr(solvers, "_circle_roots", lambda *args: None)
+    assert circle == pytest.approx(roots_of(numerator, poles), rel=1e-13)
+
+
+@pytest.mark.parametrize("numerator, expected", [
+    # a double root
+    (Polynomial.fromroots([0.2, 0.5, 0.5, 0.8]), [0.2, 0.5, 0.8]),
+    # degree 3 over four poles: f vanishes at ±∞, P at z = 1
+    (Polynomial.fromroots([0.2, 0.5, 0.8]), [0.2, 0.5, 0.8]),
+    # a complex pair 1e-4 off the real axis, whose eigenvalues lie 4e-4
+    # off the circle
+    (Polynomial.fromroots([0.2, 0.8]) * Polynomial([0.25 + 1e-8, -1.0, 1.0]),
+     [0.2, 0.8]),
+    # m = 0.5 ± 0.5i, the images of z = ∞ and z = 0: the leading
+    # coefficient of P vanishes
+    (Polynomial.fromroots([0.2, 0.8]) * Polynomial([0.5, -1.0, 1.0]),
+     [0.2, 0.8]),
+    # two roots 1e-6 apart, which the per-interval path merges
+    (Polynomial.fromroots([0.2, 0.5, 0.5 + 1e-6, 0.8]), [0.2, 0.5, 0.8]),
+    # a root at m = 1e7, θ = 1e-7: the per-interval path takes it for the
+    # point at infinity
+    (Polynomial.fromroots([0.2, 0.5, 0.8, 1e7]), [0.2, 0.5, 0.8]),
+], ids=["double_root", "deficient_degree", "near_real_pair",
+        "root_at_z_infinity", "close_pair", "root_near_z_one"])
+def test_circle_guards_leave_the_roots_to_the_intervals(paths, numerator,
+                                                        expected):
+    roots = roots_of(numerator, DOMAIN_POLES)
+    assert paths == ["intervals"]
+    assert roots == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("multiple, path", [(0.5, "intervals"),
+                                            (2.0, "circle")])
+def test_circle_band(paths, multiple, path):
+    # m = 1/2 ± iy maps to z with |z| = (1/2 + y)/(1/2 - y), off the circle
+    # by the multiple of CIRCLE_BAND
+    off = multiple * solvers.CIRCLE_BAND
+    y = 0.5 * off / (2.0 + off)
+    numerator = Polynomial.fromroots([0.2, 0.8]) * Polynomial(
+        [0.25 + y * y, -1.0, 1.0])
+    assert roots_of(numerator, DOMAIN_POLES) == pytest.approx([0.2, 0.8],
+                                                              abs=1e-10)
+    assert paths == [path]
+
+
+def test_circle_leaves_a_function_of_other_degree_to_the_intervals(paths):
+    # (m - 1/2)/sqrt(1 + m²) is no ratio of polynomials over the poles, so
+    # the roots of its interpolant on the circle are off, and their Newton
+    # steps run long
+    def evaluate(m):
+        values = (m - 0.5) / np.sqrt(1.0 + m * m)
+        return values, np.abs(values)
+
+    poles = np.array([0.0, 1.0])
+    assert _real_roots(evaluate, poles, poles, 0.0) == pytest.approx(
+        [0.5], abs=1e-12)
+    assert paths == ["intervals"]
+
+
+def test_circle_leaves_samples_that_are_not_finite_to_the_intervals(paths):
+    # infinite inside the domain, so on every sample of the arc
+    numerator = Polynomial.fromroots([-2.0, 0.5, 3.0])
+    poles = np.array([0.0, 0.0, 1.0])
+
+    def evaluate(m):
+        values = numerator(m) / np.prod(m[:, None] - poles, axis=1)
+        values[(m > 0.0) & (m < 1.0)] = np.inf
+        return values, np.abs(values)
+
+    splits = np.array([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solvers._circle_roots(evaluate, poles, splits, 0.0) is None
+    # the per-interval path's products of infinities warn
+    with np.errstate(invalid="ignore"):
+        roots = _real_roots(evaluate, poles, splits, 0.0)
+    assert roots == pytest.approx([-2.0, 3.0], abs=1e-10)
+    assert paths == ["intervals"] * 2
+
+
+@pytest.mark.parametrize("poles", [[0.0, 0.0, 0.5, 1.0, 1.0],
+                                   [0.0] * 4 + [0.5] + [1.0] * 4])
+def test_circle_nodes_miss_poles_at_both_domain_ends(paths, poles):
+    # len(poles) + 1 ≡ 2 (mod 4): nodes at 2π(j + 1/2)/size would land on
+    # the images of both domain ends, where the samples are infinite
+    expected = [-3.0, 0.1, 0.3, 0.7, 0.9, 2.0, 5.0, 9.0, 11.0][: len(poles)]
+    assert roots_of(Polynomial.fromroots(expected), poles) == pytest.approx(
+        expected, abs=1e-9)
+    assert paths == ["circle"]
+
+
+def test_seed_one_plants_take_the_circle_and_many_pieces_do_not(paths):
+    for kind in ("problem2", "problem3"):
+        for plant in seed_one_plants(kind):
+            solve_plant(kind, *plant)
+    assert paths == ["circle"] * 32
+    paths.clear()
+    rng = np.random.default_rng(1)
+    for pieces in (48, 64):
+        for degree in (2, 3, 4, 5):
+            knots, base, opposite = plant_strip(rng, degree, pieces)[:3]
+            solve_plant("problem1", degree, knots, base, opposite)
+    assert paths == ["intervals"] * 8
+
+
+def test_import_loads_no_fft():
+    # numpy 2 loads numpy.fft only on first use; numpy 1 with numpy itself
+    code = ("import sys, numpy; before = 'numpy.fft' in sys.modules; "
+            "import devstrip; print(before, 'numpy.fft' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(
+                             os.environ, PYTHONPATH=str(SRC)))
+    before, after = out.stdout.split()
+    assert after == before
