@@ -294,7 +294,8 @@ def _circle_tables(size: int) -> tuple[np.ndarray, ...]:
     """The matrix that takes a polynomial's values at the size
     ``_circle_nodes`` to its size coefficients, ascending (z_j^-k / size),
     and the companion matrix of a monic polynomial of degree size - 1, its
-    last column zero."""
+    last column zero.  They are kept apart from the nodes, so that a size
+    whose samples fail the ratio test caches no size × size matrix."""
     theta = 2.0 * np.pi * (np.arange(size) + 0.125) / size
     return _frozen(np.exp(-1j * theta[:, None] * np.arange(size)) / size,
                    np.eye(size - 1, k=-1, dtype=complex))
