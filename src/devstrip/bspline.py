@@ -15,7 +15,6 @@ and knot vectors never mutate, and all operations return new objects.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -295,9 +294,8 @@ class BSplineCurve:
         """
         new_knots = self._knots.elevated()
         spans, args = _windows(new_knots, self._knots)
-        total = np.zeros((len(args), 3))
-        for part in _dropped_blossoms(self._knots, self._control, spans, args):
-            total += part
+        total = _dropped_blossoms(self._knots, self._control, spans,
+                                  args).sum(axis=0, initial=0.0)
         return BSplineCurve(new_knots, total / (self.degree + 1))
 
 
@@ -316,19 +314,13 @@ def _de_boor(knots: KnotVector, control: np.ndarray, spans: np.ndarray,
 
     Stage r pulls argument r in, replacing one knot of every pair that
     brackets the span, over all k rows and c columns at once.
-
-    Rows of n+1 arguments give all n stages of the n+1 windows of each row
-    that drop one argument, as (n+1, n+1, c, k) (see `_dropping_stages`).
     """
     n = knots.degree
     # pts[i] starts as control point first + 1 + i, and kn[j] is knot
     # first + 1 + j: stage r blends pts[i] over knots kn[i-1], kn[i+n-r]
     first = spans - n
     kn = knots._array[first + np.arange(1, 2 * n + 1)[:, None]]
-    pts = control[first + np.arange(1, n + 2)[:, None]].transpose(0, 2, 1)
-    if args.shape[1] > n:
-        return _dropping_stages(kn, pts, args)
-    pts = pts.copy()
+    pts = control[first + np.arange(1, n + 2)[:, None]].transpose(0, 2, 1).copy()
     for r in range(1, stages + 1):
         lo, hi = kn[r - 1 : n], kn[n : 2 * n + 1 - r]
         w = ((args[:, r - 1] - lo) / (hi - lo))[:, None, :]
@@ -336,52 +328,6 @@ def _de_boor(knots: KnotVector, control: np.ndarray, spans: np.ndarray,
         pts[r:] *= w
         pts[r:] += kept
     return pts
-
-
-def _dropping_stages(kn: np.ndarray, start: np.ndarray,
-                     args: np.ndarray) -> np.ndarray:
-    """All n stages of `_de_boor` for the n+1 windows of each row of `args`
-    (k, n+1) that drop one argument, from its knot rows `kn` and start
-    points `start` (n+1, c, k), laid out as (n+1, n+1, c, k): window 0
-    drops the last argument, window j+1 argument j.
-
-    Window j+1 pulls in the arguments before j at its first j stages, as
-    window 0 does, so it starts from a copy of window 0 after those stages
-    and pulls in argument r at each later stage r.  That is (n+1)n/2 + n
-    row-stages instead of (n+1)n, with the operations of `_de_boor` for
-    each row, so the same bits."""
-    n = len(start) - 1
-    pulled, lo, hi = _dropping_rows(n)
-    lo = kn[lo]
-    w = (args.T[pulled] - lo) / (kn[hi] - lo)
-    keep = 1.0 - w
-    pts = np.empty((n + 1,) + start.shape)
-    pts[0] = start
-    rows = 0
-    for r in range(1, n + 1):
-        pts[r, r - 1 :] = pts[0, r - 1 :]
-        block = slice(rows, rows + (r + 1) * (n + 1 - r))
-        rows = block.stop
-        shape = (r + 1, n + 1 - r, 1, args.shape[0])
-        live = pts[: r + 1]
-        kept = keep[block].reshape(shape) * live[:, r - 1 : n]
-        live[:, r:] *= w[block].reshape(shape)
-        live[:, r:] += kept
-    return pts
-
-
-@functools.lru_cache(maxsize=None)
-def _dropping_rows(n: int) -> np.ndarray:
-    """The blend weights of `_dropping_stages` at degree n: for stage
-    r = 1..n, window g = 0..r and point i = r..n, in that order, the
-    argument pulled in (r-1 for window 0, r for the windows that have left
-    it) and the rows of the two knots that bracket it, i-1 and i+n-r."""
-    rows = np.array([(r - (g == 0), i - 1, i + n - r)
-                     for r in range(1, n + 1) for g in range(r + 1)
-                     for i in range(r, n + 1)]).T
-    # the cached table is shared by every caller
-    rows.flags.writeable = False
-    return rows
 
 
 def _blossoms(knots: KnotVector, control: np.ndarray, spans: np.ndarray,
@@ -395,10 +341,14 @@ def _dropped_blossoms(knots: KnotVector, control: np.ndarray,
                       spans: np.ndarray, args: np.ndarray) -> np.ndarray:
     """Polar forms at every row of `args` (k, m) with one argument
     dropped, as (m, k, c): slice j drops argument j.  All m·k windows go
-    through one kernel call, which shares their common stages; spans (k,)
-    name each row's piece."""
-    pts = _de_boor(knots, control, spans, args, knots.degree)[:, -1]
-    return np.concatenate((pts[1:], pts[:1])).transpose(0, 2, 1)
+    through one kernel call; spans (k,) name each row's piece."""
+    m = args.shape[1]
+    # row j of keep lists the argument indices other than j, ascending
+    slot = np.arange(m - 1)
+    keep = slot + (slot >= np.arange(m)[:, None])
+    windows = args[:, keep].transpose(1, 0, 2).reshape(-1, m - 1)
+    return _blossoms(knots, control, np.concatenate((spans,) * m),
+                     windows).reshape(m, len(args), -1)
 
 
 def _bezier_points(knots: KnotVector, control: np.ndarray) -> np.ndarray:
