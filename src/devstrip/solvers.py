@@ -234,12 +234,14 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         values, sizes = sample(piece[:, None],
                                mid[:, None] + half[:, None] * _NODES)
-        coef = values @ _BASIS
+        # a piece with non-finite samples or coefficients has no roots to
+        # find; its samples are zeroed so that the product meets no infinity
+        finite = np.isfinite(values).all(axis=1)
+        coef = np.where(finite[:, None], values, 0.0) @ _BASIS
+        finite &= np.isfinite(coef).all(axis=1)
         tol = CHEB_TAIL_REL * sizes.max(axis=1)
         tail = np.abs(coef[:, -(CHEB_POINTS // 4):]).max(axis=1)
-        # a piece with non-finite samples has no roots to find
-        done = (tail <= tol) | ~np.isfinite(coef).all(axis=1) \
-            | (halvings == CHEB_MAX_HALVINGS)
+        done = (tail <= tol) | ~finite | (halvings == CHEB_MAX_HALVINGS)
         converged.append((piece[done], mid[done], half[done], coef[done],
                           tol[done]))
         piece, lo, mid, hi = piece[~done], lo[~done], mid[~done], hi[~done]

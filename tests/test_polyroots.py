@@ -439,8 +439,8 @@ def test_circle_leaves_samples_that_are_not_finite_to_the_intervals(paths):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert solvers._circle_roots(evaluate, poles, splits, 0.0) is None
-    # the per-interval path's products of infinities warn
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         roots = _real_roots(evaluate, poles, splits, 0.0)
     assert roots == pytest.approx([-2.0, 3.0], abs=1e-10)
     assert paths == ["intervals"] * 2
