@@ -22,6 +22,8 @@ from devstrip import (
     solve_problem3,
 )
 
+from devstrip.fileio import OBJ_APEX_MERGE_REL
+
 import reference as ref
 from helpers import serialize_problem
 
@@ -249,6 +251,20 @@ class TestExportObj:
         assert len([l for l in lines if l.startswith("v ")]) == 28
         first_band = [l for l in lines if l.startswith("f 1 ")]
         assert first_band == ["f 1 2 3", "f 1 3 4"]
+
+    @pytest.mark.parametrize("multiple, merged", [(0.5, True), (2.0, False)])
+    def test_apex_merge_tolerance(self, multiple, merged):
+        # every sample lies in the unit ball, so the patch scale is 1 and the
+        # first ruling is the multiple of OBJ_APEX_MERGE_REL long
+        c = BSplineCurve((0.0, 1.0), ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 1)
+        d = BSplineCurve((0.0, 1.0), ((0.0, multiple * OBJ_APEX_MERGE_REL, 0.0),
+                                      (0.0, 1.0, 0.0)), 1)
+        lines = export_obj(RuledPatch(c, d), u_samples=2,
+                           v_samples=3).splitlines()
+        assert ("apex row merged" in lines[0]) is merged
+        # 2 rows of 3 vertices; a merged apex row keeps one of its three
+        assert len([l for l in lines if l.startswith("v ")]) == (
+            4 if merged else 6)
 
     def test_output_is_deterministic(self, quad_strip):
         assert export_obj(quad_strip) == export_obj(quad_strip)

@@ -370,6 +370,19 @@ def test_circle_roots_match_the_intervals(monkeypatch):
     assert circle == pytest.approx(roots_of(numerator, poles), rel=1e-13)
 
 
+@pytest.mark.parametrize("multiple, merged", [(0.5, True), (2.0, False)])
+def test_interval_roots_merge_within_the_merge_tolerance(monkeypatch, multiple,
+                                                         merged):
+    # on the pole interval [0, 1], x = 2m - 1: simple roots at
+    # m = 1/2 ± gap/4 lie the multiple of CHEB_MERGE_TOL apart in x
+    gap = multiple * solvers.CHEB_MERGE_TOL
+    pair = [0.5 - 0.25 * gap, 0.5 + 0.25 * gap]
+    monkeypatch.setattr(solvers, "_circle_roots", lambda *args: None)
+    roots = roots_of(Polynomial.fromroots([0.2, *pair, 0.8]), DOMAIN_POLES)
+    expected = [0.2, *([0.5] if merged else pair), 0.8]
+    assert roots == pytest.approx(expected, abs=1e-9)
+
+
 @pytest.mark.parametrize("numerator, expected", [
     # a double root
     (Polynomial.fromroots([0.2, 0.5, 0.5, 0.8]), [0.2, 0.5, 0.8]),
