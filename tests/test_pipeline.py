@@ -108,8 +108,8 @@ class TestFixtureRoots:
 
     Measured as the smallest k for which the numerator's sign at root ± k
     ulps differs from its sign at the root: every inner root is at 1 ulp,
-    the outer-ray root m = -7.908 of spline3 and spline4 at 2 and that of
-    splinet, m = -1.920, at 6."""
+    the outer-ray root m = -7.908 of spline3 and spline4 at 1 and that of
+    splinet, m = -1.920, at 3."""
 
     ULPS = 16
 
