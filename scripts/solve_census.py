@@ -11,9 +11,12 @@ high-piece corpus of pieces_sweep once.  Then, for each seed, plants the
 benchmark never draws, built here by its recipe with m* given: m* inside a
 knot interval, m* within 1e-5 to 1e-3 of an inner knot (the domain is
 [0, 1]), and |m*| from 10 to 1e4, at 2, 4 and 8 pieces, degrees 2-5 and
-every problem kind.  Each solve writes one JSON line:
+every problem kind; and problems 2 and 3 on the benchmark's own plants at
+12 to 64 pieces, degrees 2-5, from a random stream of their own, so that
+the records before them keep their draws.  Each solve writes one JSON line:
 the case, its outcome ("solved" or the exception class), and for a solved
-case the roots, chosen root, lambda*, tau, the final control points of
+case the roots, chosen root, lambda*, tau, the parameter where the patch
+pinches (null unless tau < 0), the final control points of
 both boundaries and the developability_scan record of the final patch at
 20 samples per piece (the benchmark's density): max residual and its
 parameter, samples used and skipped.  Every float is written as float.hex,
@@ -55,6 +58,11 @@ EXTRA_DEGREES = (2, 3, 4, 5)
 # knot, and that of a far plant at ±10**U(FAR_EXPONENTS)
 NEAR_KNOT_EXPONENTS = (-5.0, -3.0)
 FAR_EXPONENTS = (1.0, 4.0)
+# Problems 2 and 3 at the piece counts of pieces_sweep's fixed corpus, which
+# the elevated workload (2-8 pieces) never reaches: one plant per kind,
+# piece count and degree, drawn from the stream (seed, LARGE_STREAM).
+LARGE_PIECES = (12, 16, 24, 32, 48, 64)
+LARGE_STREAM = 1
 
 
 def plant_at(cases, rng, family, degree, pieces):
@@ -107,6 +115,17 @@ def extra_cases(seed, devstrip, bench):
                     yield case
 
 
+def large_cases(seed, devstrip, bench):
+    """Problem-2 and problem-3 plants of one seed at LARGE_PIECES, as
+    stripbench cases named kind-p<pieces>-n<degree>."""
+    rng = np.random.default_rng((seed, LARGE_STREAM))
+    for pieces in LARGE_PIECES:
+        for degree in EXTRA_DEGREES:
+            for kind in ("problem2", "problem3"):
+                plant = bench.cases.plant_strip(rng, degree, pieces)
+                yield bench._library_case(kind, plant, True, devstrip)
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
@@ -124,12 +143,13 @@ def _solve(devstrip, case):
         sol = devstrip.solve_problem3(curve, plant.dL,
                                       case.payload["apex_velocity"])
         patch = devstrip.RuledPatch(sol.final_c, sol.final_d)
+    pinch = getattr(sol, "pinch_u", None)
     # A --src older than the one solve record nests the two-ruling solve
     # that holds the roots; this fallback goes once the compared base has
     # the record.
     for nested in ("problem2", "problem1"):
         sol = getattr(sol, nested, sol)
-    return sol, patch
+    return sol, patch, pinch
 
 
 def census(seeds: int, src: Path):
@@ -139,9 +159,11 @@ def census(seeds: int, src: Path):
     import run as bench
 
     for seed in range(1, seeds + 1):
-        for workload in ("pieces_sweep", "elevated", "extra"):
+        for workload in ("pieces_sweep", "elevated", "extra", "large"):
             if workload == "extra":
                 work = extra_cases(seed, devstrip, bench)
+            elif workload == "large":
+                work = large_cases(seed, devstrip, bench)
             else:
                 work = bench.WORKLOADS[workload][0](seed, devstrip, None)
             for case in work:
@@ -151,7 +173,7 @@ def census(seeds: int, src: Path):
                 label = "fixed" if not case.must_pass else f"seed{seed}"
                 line = {"case": f"{workload}/{label}/{case.name}"}
                 try:
-                    first, patch = _solve(devstrip, case)
+                    first, patch, pinch = _solve(devstrip, case)
                 except Exception as exc:
                     line["outcome"] = type(exc).__name__
                 else:
@@ -161,6 +183,7 @@ def census(seeds: int, src: Path):
                         chosen=float(first.chosen_root).hex(),
                         lambda_star=float(first.lambda_star).hex(),
                         tau=float(first.tau).hex(),
+                        pinch_u=None if pinch is None else float(pinch).hex(),
                         base=[_hex(p) for p in patch.base.control],
                         opposite=[_hex(p) for p in patch.opposite.control],
                         scan=[float(scan.max_residual).hex(),

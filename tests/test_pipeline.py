@@ -264,11 +264,12 @@ class TestScripts:
         record = census_record
         lines = record.read_text().splitlines()
         # 12 seeded pieces_sweep plants, the 24 of its fixed corpus, 32
-        # elevated ones and 108 that the benchmark never draws
-        assert len(lines) == 176
+        # elevated ones, 108 that the benchmark never draws and 48 of
+        # problems 2 and 3 at 12-64 pieces
+        assert len(lines) == 224
         script = load_script("solve_census", monkeypatch)
         assert script.main(["--compare", str(record), str(record)]) == 0
-        assert "176 and 176 solves, 0 changed" in capsys.readouterr().out
+        assert "224 and 224 solves, 0 changed" in capsys.readouterr().out
 
         first = json.loads(lines[0])
         first["roots"] = first["roots"][1:]
