@@ -11,10 +11,10 @@ Three levels of prescription are supported, each reduced to the one before:
 ``solve_spec`` dispatches a parsed problem file to the matching solver.
 
 Candidate interior parameters are the real roots of a compatibility
-function kept in ratio-product form, found from one eigenvalue problem on
-the unit circle when its samples are well conditioned and otherwise
-interval by interval between its poles, the knots; everything downstream
-of the chosen root is closed-form.
+function kept in ratio-product form, found from one eigenvalue problem in
+the Lagrange basis, or interval by interval between its poles, the knots,
+where that problem's guards fire; everything downstream of the chosen root
+is closed-form.
 """
 
 from __future__ import annotations
@@ -85,16 +85,10 @@ CHEB_CELLS = 8
 CHEB_NEWTON_STEPS = 3
 CHEB_ROOT_TOL = 1e-10
 
-# The one eigenvalue problem on the unit circle (``_circle_roots``) runs when
-# the median sample size on the domain's arc is at least this fraction of
-# the largest sample size.  Its coefficients carry rounding of about eps
-# times the largest size, so there the samples on the arc, and the roots
-# they fix, keep about ten of their digits; from about 32 pieces up the
-# ratio falls below 1e-9 and the eigenvalues lose roots.
-CIRCLE_ARC_RATIO = 1e-6
-# Eigenvalues within CHEB_IMAG_TOL of the unit circle are real roots; those
-# farther off but within this are a near-real pair or a split multiple
-# root, which the per-interval path decides.
+# Eigenvalues of the Lagrange-basis pencil (``_pencil_roots``) whose images
+# on the unit circle's map lie within CHEB_IMAG_TOL of the circle are real
+# roots; those farther off but within this are a near-real pair or a split
+# multiple root, which the per-interval path decides.
 CIRCLE_BAND = 1e-3
 
 
@@ -174,8 +168,8 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     it), and the function stays bounded as m → ±∞.  Roots within
     ``exclusion_radius`` of a split are dropped.
 
-    When its samples are well conditioned, ``_circle_roots`` gives the roots
-    from one eigenvalue problem.  Otherwise ℝ is cut at the splits.
+    ``_pencil_roots`` gives the roots from one eigenvalue problem unless one
+    of its guards fires.  Then ℝ is cut at the splits.
     Each finite interval maps onto x in [-1, 1] and its function is
     multiplied by the interval's end poles.  The ray below a maps by
     m = a − s(1+x)/(1−x), with s the geometric mean of the first interval
@@ -185,7 +179,7 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     pieces at once; each simple root then gets one Newton step on the
     function."""
     splits = np.asarray(splits, dtype=float)
-    roots = _circle_roots(evaluate, poles, splits, exclusion_radius)
+    roots = _pencil_roots(evaluate, poles, splits, exclusion_radius)
     if roots is not None:
         return roots
     a, b = splits[0], splits[-1]
@@ -280,116 +274,110 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
 
 
 @functools.lru_cache(maxsize=None)
-def _circle_nodes(size: int) -> tuple[np.ndarray, ...]:
-    """The nodes z_j = exp(iθ_j), θ_j = 2π(j + 1/8)/size, as cot(θ_j/2),
-    1 - z_j and 1 + z_j, and the indices of those on the domain's arc
-    Re z <= 0.  The shift 1/8 keeps every node off z = ±1 and ±i, the
-    images of m = ∞, the domain's centre and its ends, for every size."""
-    theta = 2.0 * np.pi * (np.arange(size) + 0.125) / size
-    z = np.exp(1j * theta)
-    return _frozen(1.0 / np.tan(0.5 * theta), 1.0 - z, 1.0 + z,
-                   (z.real <= 0.0).nonzero()[0])
+def _pencil_tables(splits: int, left: int, right: int
+                   ) -> tuple[np.ndarray, ...]:
+    """For that many splits, and support points below a and above b: the
+    matrix that takes the splits to the support points, ascending; in row
+    j, the indices of the support points other than j, ascending; and the
+    identity matrix of one size less than the points."""
+    size = splits - 1 + left + right
+    support = np.zeros((size, splits))
+    inner = np.arange(splits - 1)
+    support[left + inner, inner] = support[left + inner, inner + 1] = 0.5
+    lower = 4.0 ** np.arange(left - 2.0, -2.0, -1.0)
+    upper = 4.0 ** np.arange(-1.0, right - 1.0)
+    support[:left, 0], support[:left, -1] = 1.0 + lower, -lower
+    support[size - right :, -1], support[size - right :, 0] = 1.0 + upper, -upper
+    others = np.arange(1, size) - np.tri(size, size - 1, -1, dtype=int)
+    tables = support, others, np.eye(size - 1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-@functools.lru_cache(maxsize=None)
-def _circle_tables(size: int) -> tuple[np.ndarray, ...]:
-    """The matrix that takes a polynomial's values at the size
-    ``_circle_nodes`` to its size coefficients, ascending (z_j^-k / size),
-    and the companion matrix of a monic polynomial of degree size - 1, its
-    last column zero.  They are kept apart from the nodes, so that a size
-    whose samples fail the ratio test caches no size × size matrix."""
-    theta = 2.0 * np.pi * (np.arange(size) + 0.125) / size
-    return _frozen(np.exp(-1j * theta[:, None] * np.arange(size)) / size,
-                   np.eye(size - 1, k=-1, dtype=complex))
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    # cached tables are shared by every caller
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
-def _circle_roots(evaluate, poles: np.ndarray, splits: np.ndarray,
+def _pencil_roots(evaluate, poles: np.ndarray, splits: np.ndarray,
                   exclusion_radius: float) -> Optional[list[float]]:
-    """The roots ``_real_roots`` reports, from one eigenvalue problem, or
-    None where they are left to the per-interval path.
+    """The roots ``_real_roots`` reports, from one eigenvalue problem in the
+    Lagrange basis, or None where they are left to the per-interval path.
 
-    The map m = c + s·cot(θ/2), with c and s the centre and half-width of
-    the splits, takes the real line onto the unit circle z = exp(iθ), and
-    the domain onto its arc Re z <= 0.  The numerator
-    P(z) = f(m)·Π((c − p)(1 − z) − is(1 + z))/(2s), over the poles p, is a
-    polynomial of degree len(poles) in z: it is sampled at len(poles) + 1
-    nodes on the circle, the sums of absolute terms times the factors'
-    size giving each sample's size, and one discrete Fourier transform
-    gives its coefficients.  The eigenvalues of their companion matrix
-    within CHEB_IMAG_TOL of the circle are the real roots; each takes one
-    Newton step on f, whose slope is a central difference over half
-    CHEB_MERGE_TOL in θ, and the roots within ``exclusion_radius`` of a
-    split are dropped.
+    N(m) = f(m)·Π(m − p), over the poles p, is a polynomial of degree
+    len(poles), fixed by its values at len(poles) + 1 support points t_j:
+    one in the middle of each split interval, then as many below a as there
+    are poles at a, while points are left, at a − (b − a)·4^(k−1) for
+    k = 0, 1, ..., and the rest above b, mirrored.  Its barycentric weights
+    w_j = Π(t_j − p)/Π_{i≠j}(t_j − t_i) are one product of ratios, the
+    ascending poles over the other support points, and the a_j = w_j·f(t_j)
+    sum to N's leading coefficient σ.  The roots of N are the eigenvalues
+    of the arrowhead pencil [[0, aᵀ], [1, diag t]] − m·diag(0, I) (Corless
+    2004): for J the largest |a_j|, those of diag(t_j, j ≠ J) − 1·vᵀ with
+    v_j = a_j(t_j − t_J)/σ.
 
-    It gives None when the median sample size on the arc is below
-    CIRCLE_ARC_RATIO of the largest, and when a sample is not finite, the
-    leading coefficient is rounding (a root at z = ∞), an eigenvalue lies
-    in the band CHEB_IMAG_TOL..CIRCLE_BAND off the circle (a near-real pair
-    or a split multiple root), two roots lie within CHEB_MERGE_TOL in θ, a
-    Newton step is longer than that in θ, or a root lies at a quarter of
-    the distance at which the per-interval path takes it for the point at
-    infinity, or beyond (near z = 1)."""
+    Distances are in θ of m = c + s·cot(θ/2), c and s the centre and
+    half-width of the splits, which maps the real line onto the unit circle
+    z = exp(iθ).  The eigenvalues within CHEB_IMAG_TOL of the circle are the
+    real roots; each takes one Newton step on f, its slope a central
+    difference across CHEB_MERGE_TOL in θ, and the roots within
+    ``exclusion_radius`` of a split are dropped.
+
+    It gives None when there are fewer support points than split intervals
+    or one lies beyond the far-root reach (below), a sample is not finite,
+    σ is rounding (a root at infinity or a deficient degree), an eigenvalue
+    lies CHEB_IMAG_TOL..CIRCLE_BAND off the circle (a near-real pair or a
+    split multiple root), two roots lie within CHEB_MERGE_TOL in θ, a root
+    lies beyond the reach, or a Newton step is longer than CHEB_MERGE_TOL
+    in θ."""
     a, b = splits[0], splits[-1]
     c, s = 0.5 * (a + b), 0.5 * (b - a)
-    size = len(poles) + 1
-    cot, minus, plus, arc = _circle_nodes(size)
-    if not len(arc):
+    outer = len(poles) + 2 - len(splits)
+    if outer < 0:
         return None
-    values, sizes = evaluate(c + s * cot)
-    factor = (((c - poles) * minus[:, None] - 1j * s * plus[:, None])
-              / (2.0 * s)).prod(axis=1)
-    samples = values * factor
-    sizes = sizes * np.abs(factor)
-    largest = sizes.max()
-    on_arc = sizes[arc]
-    on_arc.sort()
-    median = 0.5 * (on_arc[(len(arc) - 1) // 2] + on_arc[len(arc) // 2])
-    if not (median >= CIRCLE_ARC_RATIO * largest
-            and np.isfinite(samples).all()):
+    left = min(int(poles.searchsorted(0.5 * (a + splits[1]))), outer)
+    support, others, eye = _pencil_tables(len(splits), left, outer - left)
+    t = support @ splits
+    # the reach is a quarter of m − b = ℓ(2 − CHEB_MERGE_TOL)/CHEB_MERGE_TOL,
+    # where the per-interval path's ray m = b + ℓ(1+x)/(1−x), ℓ² the last
+    # interval times the domain, puts the point at infinity; mirrored below a
+    reach = 0.25 / CHEB_MERGE_TOL
+    low = a - reach * ((splits[1] - a) * (b - a)) ** 0.5
+    high = b + reach * ((b - splits[-2]) * (b - a)) ** 0.5
+    if not (low < t[0] and t[-1] < high):
         return None
-    transform, companion = _circle_tables(size)
-    coef = samples @ transform
-    if not abs(coef[-1]) > CHEB_TAIL_REL * largest:
+    values, sizes = evaluate(t)
+    if not np.isfinite(values).all():
         return None
-    companion = companion.copy()
-    companion[:, -1] = -coef[:-1] / coef[-1]
-    z = np.linalg.eigvals(companion)
-    off = np.abs(np.abs(z) - 1.0)
-    if ((off > CHEB_IMAG_TOL) & (off <= CIRCLE_BAND)).any():
+    weights = ((t[:, None] - poles) / (t[:, None] - t[others])).prod(axis=1)
+    coef = weights * values
+    sigma = coef.sum()
+    if not abs(sigma) > CHEB_TAIL_REL * (np.abs(weights) * sizes).max():
         return None
-    z = z[off <= CHEB_IMAG_TOL]
-    theta = np.arctan2(z.imag, z.real) % (2.0 * np.pi)
-    theta.sort()
-    # the per-interval path's rays run m = b + ℓ(1+x)/(1−x) above b, ℓ the
-    # geometric mean of the last interval and the domain, and mirrored
-    # below a; a root at x >= 1 − CHEB_MERGE_TOL is the point at infinity,
-    # at m − b = ℓ(2 − CHEB_MERGE_TOL)/CHEB_MERGE_TOL
-    reach = 0.25 / CHEB_MERGE_TOL * np.sqrt(
-        (splits[[-1, 1]] - splits[[-2, 0]]) * (b - a))
-    last, first = 2.0 * np.arctan(s / (s + reach))
-    if (theta[1:] - theta[:-1] <= CHEB_MERGE_TOL).any() or len(theta) and (
-            theta[0] <= last or theta[-1] >= 2.0 * np.pi - first):
+    pivot = np.abs(coef).argmax()
+    rest = others[pivot]
+    nodes = t[rest]
+    m = np.linalg.eigvals(eye * nodes - coef[rest] * (nodes - t[pivot])
+                          / sigma)
+    # m maps to z = (m − c + is)/(m − c − is), off the circle by
+    # | |m − c + is| − |m − c − is| | / |m − c − is|
+    below = np.abs(m - complex(c, s))
+    gap = np.abs(np.abs(m - complex(c, -s)) - below)
+    if ((gap > CHEB_IMAG_TOL * below) & (gap <= CIRCLE_BAND * below)).any():
         return None
-    m = c + s / np.tan(0.5 * theta)
-    # the Newton step is in m, its half-step dm/dθ = ((m − c)² + s²)/(2s)
-    # times half CHEB_MERGE_TOL
-    scale = ((m - c) ** 2 + s * s) / (2.0 * s)
-    h = 0.5 * CHEB_MERGE_TOL * scale
+    m = m.real[gap <= CHEB_IMAG_TOL * below]
+    m.sort()
+    theta = 2.0 * np.arctan2(s, m - c)
+    if (theta[:-1] - theta[1:] <= CHEB_MERGE_TOL).any() or len(m) and (
+            m[0] <= low or m[-1] >= high):
+        return None
+    # a step of CHEB_MERGE_TOL in θ is width = CHEB_MERGE_TOL·dm/dθ in m,
+    # dm/dθ = ((m − c)² + s²)/(2s); the Newton step at·width/slope, with
+    # slope the difference of f across width, is shorter iff |at| < |slope|
+    width = CHEB_MERGE_TOL / (2.0 * s) * ((m - c) ** 2 + s * s)
     below, at, above = evaluate(
-        (m[:, None] + h[:, None] * (-1.0, 0.0, 1.0)).ravel())[0].reshape(
+        (m[:, None] + width[:, None] * (-0.5, 0.0, 0.5)).ravel())[0].reshape(
             -1, 3).T
     slope = above - below
-    if not (np.abs(at) * 2.0 * h < CHEB_MERGE_TOL * scale * np.abs(slope)
-            ).all():
+    if not (np.abs(at) < np.abs(slope)).all():
         return None
-    m -= at * 2.0 * h / slope
+    m -= at * width / slope
     keep = (np.abs(m[:, None] - splits) > exclusion_radius).all(axis=1)
     return sorted(m[keep].tolist())
 

@@ -20,6 +20,10 @@ from .bspline import BSplineCurve, as_point3, _evaluate, _row_norms
 CONTROL_RELATION_TOL = 1e-9
 # m_star closer than this fraction of the domain to a knot is a pole.
 POLE_GUARD_REL = 1e-6
+# A cell's control-relation defect is divided by its largest term norm,
+# floored at this fraction of the polygon scale: max(1, the largest norm of
+# a control point of either polygon).
+RELATION_FLOOR_REL = 1e-12
 
 
 class RuledPatch:
@@ -157,7 +161,8 @@ def control_relation_residuals(
     """Per-cell normalized defect of the control relation.
 
     The defect of cell i is divided by the largest of the four term norms
-    (floored at 1e-12 of the polygon scale), so the result is unit-free.
+    (floored at RELATION_FLOOR_REL of the polygon scale), so the result is
+    unit-free.
     """
     if base.knots != opposite.knots:
         raise ValueError("boundary curves must share one knot vector")
@@ -168,7 +173,7 @@ def control_relation_residuals(
     lam = float(lambda_star)
     m = float(m_star)
     scale = max(1.0, float(np.linalg.norm(np.concatenate((c, d)), axis=1).max()))
-    floor = 1e-12 * scale
+    floor = RELATION_FLOOR_REL * scale
     lo = base.knots._array[:cells, None]
     hi = base.knots._array[n : n + cells, None]
     terms = (

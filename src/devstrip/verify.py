@@ -21,6 +21,9 @@ from .strip import RuledPatch
 COLLAPSED_RULING_REL = 1e-9
 
 NORM_FLOOR_REL = 1e-12
+# planarity_report floors each edge norm of a cell at this fraction of the
+# cell scale: max(1, the largest norm of its four corners).
+PLANARITY_FLOOR_REL = 1e-12
 
 # Samples sit this fraction of a piece inward from its ends, so one-sided
 # derivative jumps at inner knots never decide the verdict.
@@ -123,8 +126,9 @@ def planarity_report(strip: RuledPatch) -> list[float]:
 
     Cell i is the point quadruple (c_i, c_{i+1}, d_i, d_{i+1}).  Its
     residual is |det(c_{i+1} - c_i, d_i - c_i, d_{i+1} - c_i)| divided by
-    the product of the three argument norms (each floored at 1e-12 of the
-    cell scale); zero exactly when the four points are coplanar.
+    the product of the three argument norms (each floored at
+    PLANARITY_FLOOR_REL of the cell scale); zero exactly when the four
+    points are coplanar.
     """
     c = strip.base.control
     d = strip.opposite.control
@@ -132,6 +136,6 @@ def planarity_report(strip: RuledPatch) -> list[float]:
     e1, e2, e3 = cj - ci, di - ci, dj - ci
     det = np.linalg.det(np.stack((e1, e2, e3), axis=-1))
     corners = np.maximum.reduce([_row_norms(p) for p in (ci, cj, di, dj)])
-    floor = 1e-12 * np.maximum(1.0, corners)
+    floor = PLANARITY_FLOOR_REL * np.maximum(1.0, corners)
     n1, n2, n3 = (np.maximum(_row_norms(e), floor) for e in (e1, e2, e3))
     return (np.abs(det) / (n1 * n2 * n3)).tolist()

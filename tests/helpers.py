@@ -11,9 +11,10 @@ from devstrip import (BSplineCurve, KnotVector, RuledPatch, planarity_report,
 from devstrip.bspline import (_blossoms, _dropped_blossoms,
                               _point_and_velocity, _row_norms, _windows,
                               as_point3)
-from devstrip.strip import POLE_GUARD_REL
+from devstrip.strip import POLE_GUARD_REL, RELATION_FLOOR_REL
 from devstrip.verify import (COLLAPSED_RULING_REL, KNOT_SAMPLE_OFFSET_REL,
-                             NORM_FLOOR_REL, DevelopabilityScan)
+                             NORM_FLOOR_REL, PLANARITY_FLOOR_REL,
+                             DevelopabilityScan)
 
 
 def assert_polygon_close(control, expected, tol):
@@ -386,7 +387,7 @@ def loop_control_relation_residuals(base, opposite, lambda_star, m_star):
     m = float(m_star)
     scale = max(1.0, float(np.max(np.linalg.norm(c, axis=1))),
                 float(np.max(np.linalg.norm(d, axis=1))))
-    floor = 1e-12 * scale
+    floor = RELATION_FLOOR_REL * scale
     residuals = np.empty(len(c) - 1)
     for i in range(len(c) - 1):
         terms = ((u[i + n] - lam) * c[i],
@@ -407,7 +408,7 @@ def loop_cell_planarity_residual(cell):
     e3 = dj - ci
     det = float(np.linalg.det(np.column_stack((e1, e2, e3))))
     scale = max(1.0, max(np.linalg.norm(p) for p in (ci, cj, di, dj)))
-    floor = 1e-12 * scale
+    floor = PLANARITY_FLOOR_REL * scale
     denom = 1.0
     for e in (e1, e2, e3):
         denom *= max(float(np.linalg.norm(e)), floor)
@@ -478,6 +479,17 @@ def seed_one_plants(kind):
                  for k in ("problem2", "problem3")]
     plants = [(k, n) + plant_strip(rng, n, p)[:3] for p, n, k in draws]
     return [plant[1:] for plant in plants if plant[0] == kind]
+
+
+def fixed_corpus_plants(degree, pieces):
+    """The plants of the benchmark's fixed pieces_sweep corpus (seed
+    20150324, 12-64 pieces, degrees 2-5 each, drawn in that order) of one
+    degree at the given piece counts, as (degree, knots, base, opposite)."""
+    rng = np.random.default_rng(20150324)
+    plants = [(p, n) + plant_strip(rng, n, p)[:3]
+              for p in (12, 16, 24, 32, 48, 64) for n in range(2, 6)]
+    return [plant[1:] for plant in plants
+            if plant[1] == degree and plant[0] in pieces]
 
 
 def solve_plant(kind, degree, knots, base, opposite):

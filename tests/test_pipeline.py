@@ -17,7 +17,8 @@ from devstrip import (parse_problem, run_cli, serialize_solution,
 from devstrip.cli import VERIFY_TOL
 
 from helpers import (assert_polygon_close, exact_compatibility_numerator,
-                     seed_one_plants, serialize_problem, solve_plant)
+                     fixed_corpus_plants, seed_one_plants, serialize_problem,
+                     solve_plant)
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -108,8 +109,8 @@ class TestFixtureRoots:
 
     Measured as the smallest k for which the numerator's sign at root ± k
     ulps differs from its sign at the root: every inner root is at 1 ulp,
-    the outer-ray root m = -7.908 of spline3 and spline4 at 1 and that of
-    splinet, m = -1.920, at 3."""
+    and the outer-ray roots, m = -7.908 of spline3 and spline4 and
+    m = -1.920 of splinet, at 2 (at 2, 2 and 6 on the per-interval path)."""
 
     ULPS = 16
 
@@ -162,49 +163,70 @@ class TestFixtureRoots:
         assert abs(Fraction(lam) - exact) <= Fraction(np.spacing(abs(lam)))
 
 
+def sign_change_failures(kind, plants, ulps, monkeypatch):
+    """The roots of the two-ruling solves of the plants, posed as the
+    problem kind, whose exact-fraction compatibility numerator has the
+    root's own sign at root - ulps ulps and at root + ulps ulps."""
+    rulings = []
+    solve = solvers.solve_problem1
+
+    def recorded(curve, v, w, **anchor):
+        rulings.append((curve, v, w))
+        return solve(curve, v, w, **anchor)
+
+    monkeypatch.setattr(solvers, "solve_problem1", recorded)
+    failures = []
+    for plant in plants:
+        rulings.clear()
+        solved = solve_plant(kind, *plant)
+        (curve, v, w), = rulings
+
+        def positive(m):
+            return exact_compatibility_numerator(
+                curve.knots, curve.control, v, w, Fraction(m)) > 0
+
+        for root in solved.m_star_roots:
+            up = down = root
+            for _ in range(ulps):
+                up = np.nextafter(up, np.inf)
+                down = np.nextafter(down, -np.inf)
+            if positive(root) not in (not positive(up), not positive(down)):
+                failures.append((root, curve))
+    return failures
+
+
 class TestPlantRoots:
     """Every root of the two-ruling solve of the seed-1 plants of 2-8
     pieces lies within ULPS ulps of a sign change of the exact-fraction
     compatibility numerator: the numerator's signs at root - ULPS ulps and
     root + ULPS ulps are not both the root's own.
 
-    Measured with the per-interval Chebyshev root finder as the smallest k
-    at which the sign at root ± k ulps differs: a median of 1 over the 140
-    roots of the 44 solves, 50 at most for problem 1, 47 for problem 2
-    and 100 for problem 3 (the outer root m = -1.919 of elevated's
-    8-piece quadratic).  With the roots from one eigenvalue problem on the
-    unit circle: a median of 1, and at most 71, 47 and 105."""
+    Measured as the smallest k at which the sign at root ± k ulps differs,
+    over the 140 roots of the 44 solves.  With the roots from the
+    Lagrange-basis pencil: a median of 1, and at most 56 for problem 1, 37
+    for problem 2 and 86 for problem 3 (the outer root m = -1.919 of
+    elevated's 8-piece quadratic).  With the per-interval Chebyshev path
+    forced: a median of 1, and at most 50, 47 and 100.
+
+    The degree-3 plants of pieces_sweep's fixed corpus at 32, 48 and 64
+    pieces hold 45 roots, which MANY_PIECE_ULPS bounds on both paths: a
+    median of 1, and at most 259, 26 and 26 with the pencil, 196, 14 and 30
+    on the per-interval path."""
 
     ULPS = 128
+    MANY_PIECE_ULPS = 512
 
     @pytest.mark.parametrize("kind", ["problem1", "problem2", "problem3"])
     def test_roots_sit_at_the_exact_sign_change(self, monkeypatch, kind):
-        rulings = []
-        solve = solvers.solve_problem1
+        assert not sign_change_failures(kind, seed_one_plants(kind),
+                                        self.ULPS, monkeypatch)
 
-        def recorded(curve, v, w, **anchor):
-            rulings.append((curve, v, w))
-            return solve(curve, v, w, **anchor)
-
-        monkeypatch.setattr(solvers, "solve_problem1", recorded)
-        for plant in seed_one_plants(kind):
-            rulings.clear()
-            solved = solve_plant(kind, *plant)
-            (curve, v, w), = rulings
-
-            def positive(m):
-                return exact_compatibility_numerator(
-                    curve.knots, curve.control, v, w, Fraction(m)) > 0
-
-            for root in solved.m_star_roots:
-                up = down = root
-                for _ in range(self.ULPS):
-                    up = np.nextafter(up, np.inf)
-                    down = np.nextafter(down, -np.inf)
-                assert positive(root) in (not positive(up),
-                                          not positive(down)), (
-                    f"no sign change within {self.ULPS} ulps of {root!r} "
-                    f"({curve!r})")
+    def test_many_piece_roots_sit_at_the_exact_sign_change(self,
+                                                           monkeypatch):
+        plants = fixed_corpus_plants(3, (32, 48, 64))
+        assert len(plants) == 3
+        assert not sign_change_failures("problem1", plants,
+                                        self.MANY_PIECE_ULPS, monkeypatch)
 
 
 class TestScripts:

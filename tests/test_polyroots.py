@@ -1,9 +1,10 @@
 """Root finder: exact factorizations, multiple roots, random recovery.
 
 ``solvers._real_roots`` finds the real roots of a rational function bounded
-at ±∞, interval by interval between its poles.  The functions here are
-products of linear factors over products of poles, so their roots are known
-exactly.
+at ±∞: from one eigenvalue problem in the Lagrange basis
+(``_pencil_roots``), or, where one of its guards fires, interval by interval
+between its poles.  The functions here are products of linear factors over
+products of poles, so their roots are known exactly.
 """
 
 import os
@@ -49,14 +50,28 @@ def roots_of(numerator, poles, splits=None, radius=0.0, noise=None):
     return _real_roots(evaluate, poles, splits, radius)
 
 
+def on_both_paths(find):
+    """find() as _real_roots answers it, then again with the pencil made to
+    leave every call to the per-interval path."""
+    first = find()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_pencil_roots", lambda *args: None)
+        return first, find()
+
+
 def test_simple_cubic_factorization():
-    roots = roots_of(Polynomial.fromroots([1.0, 2.0, 3.0]), [0.0, 0.0, 4.0])
-    assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
+    for roots in on_both_paths(lambda: roots_of(
+            Polynomial.fromroots([1.0, 2.0, 3.0]), [0.0, 0.0, 4.0])):
+        assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
 
 def test_no_real_roots():
-    assert roots_of(Polynomial([1.0, 0.0, 1.0]), [-1.0, 1.0]) == []
-    assert roots_of(Polynomial([5.0]), [0.0, 1.0]) == []
+    for roots in on_both_paths(lambda: roots_of(Polynomial([1.0, 0.0, 1.0]),
+                                                [-1.0, 1.0])):
+        assert roots == []
+    for roots in on_both_paths(lambda: roots_of(Polynomial([5.0]),
+                                                [0.0, 1.0])):
+        assert roots == []
 
 
 def test_linear_is_exact():
@@ -76,9 +91,9 @@ def test_triple_root():
 
 
 def test_mixed_multiplicities():
-    roots = roots_of(Polynomial.fromroots([-3.0, 1.0, 1.0]),
-                     [-4.0, 0.0, 2.0])
-    assert roots == pytest.approx([-3.0, 1.0], abs=1e-7)
+    for roots in on_both_paths(lambda: roots_of(
+            Polynomial.fromroots([-3.0, 1.0, 1.0]), [-4.0, 0.0, 2.0])):
+        assert roots == pytest.approx([-3.0, 1.0], abs=1e-7)
 
 
 def test_tangential_root_next_to_a_crossing():
@@ -118,15 +133,18 @@ def test_non_finite_coefficients_raise():
 def test_scaling_invariance():
     base = Polynomial.fromroots([-1.5, 0.25, 4.0])
     poles = [-2.0, 0.0, 5.0]
-    assert roots_of(1e8 * base, poles) == pytest.approx(
-        roots_of(base, poles), abs=1e-10)
+    for scaled, plain in zip(on_both_paths(lambda: roots_of(1e8 * base, poles)),
+                             on_both_paths(lambda: roots_of(base, poles))):
+        assert scaled == pytest.approx(plain, abs=1e-10)
+        assert plain == pytest.approx([-1.5, 0.25, 4.0], abs=1e-10)
 
 
 def test_leading_noise_is_trimmed():
     # rounding-level noise in every value must not spawn spurious roots
-    roots = roots_of(Polynomial.fromroots([1.0, 2.0, 3.0]), [0.0, 0.0, 4.0],
-                     noise=1e-15)
-    assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
+    for roots in on_both_paths(lambda: roots_of(
+            Polynomial.fromroots([1.0, 2.0, 3.0]), [0.0, 0.0, 4.0],
+            noise=1e-15)):
+        assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
 
 
 def test_nearby_roots_deduplicate():
@@ -135,15 +153,17 @@ def test_nearby_roots_deduplicate():
 
 
 def test_exclusions_drop_roots_near_banned_values():
-    roots = roots_of(Polynomial.fromroots([0.0, 0.5, 2.0]), [3.0, 3.0, 3.0],
-                     splits=[0.0, 0.5, 3.0], radius=1e-6)
-    assert roots == pytest.approx([2.0], abs=1e-10)
+    for roots in on_both_paths(lambda: roots_of(
+            Polynomial.fromroots([0.0, 0.5, 2.0]), [3.0, 3.0, 3.0],
+            splits=[0.0, 0.5, 3.0], radius=1e-6)):
+        assert roots == pytest.approx([2.0], abs=1e-10)
 
 
 def test_exclusion_radius_zero_keeps_inexact_roots():
-    roots = roots_of(Polynomial.fromroots([0.5 + 1e-7, 2.0]), [3.0, 3.0],
-                     splits=[0.0, 0.5, 3.0], radius=0.0)
-    assert 0.5 + 1e-7 == pytest.approx(min(roots), abs=1e-12)
+    for roots in on_both_paths(lambda: roots_of(
+            Polynomial.fromroots([0.5 + 1e-7, 2.0]), [3.0, 3.0],
+            splits=[0.0, 0.5, 3.0], radius=0.0)):
+        assert 0.5 + 1e-7 == pytest.approx(min(roots), abs=1e-12)
 
 
 def test_random_simple_roots_recovered():
@@ -155,9 +175,9 @@ def test_random_simple_roots_recovered():
             if count == 1 or np.min(np.diff(roots)) > 0.05:
                 break
         poles = [-6.0] * (count // 2) + [6.0] * (count - count // 2)
-        found = roots_of(Polynomial.fromroots(roots), poles,
-                         splits=[-6.0, 6.0])
-        assert found == pytest.approx(list(roots), abs=1e-6)
+        for found in on_both_paths(lambda: roots_of(
+                Polynomial.fromroots(roots), poles, splits=[-6.0, 6.0])):
+            assert found == pytest.approx(list(roots), abs=1e-6)
 
 
 def test_halved_pieces_report_each_root_once():
@@ -296,78 +316,73 @@ def test_separated_roots_are_certified_without_eigenvalues(monkeypatch):
         np.sort(roots), abs=1e-15)
 
 
+@pytest.mark.parametrize("multiple, fallback", [(0.5, False), (2.0, True)])
+def test_certified_root_ends_within_the_root_tolerance(monkeypatch, multiple,
+                                                       fallback):
+    # without Newton steps a root ends where it starts, at the secant point
+    # of its grid cell y0..y1 in the sub-interval's variable y.  For
+    # (x - r)(x - p) that lies δ(w - δ)/(y1 - δ - yp) below r, with
+    # w = y1 - y0 and r at y0 + δ: δ is set so that this is the multiple of
+    # CHEB_ROOT_TOL in x, and only past the tolerance is there no sign
+    # change between the probes on either side
+    monkeypatch.setattr(solvers, "CHEB_NEWTON_STEPS", 0)
+    calls = []
+    solve = solvers.chebroots
+
+    def wrapped(coef):
+        calls.append(len(coef))
+        return solve(coef)
+
+    monkeypatch.setattr(solvers, "chebroots", wrapped)
+    k, p = solvers.CHEB_SPLIT // 2, -3.0
+    w = 2.0 / solvers.CHEB_CELLS
+    y0 = -1.0 + w * (solvers.CHEB_CELLS // 2)
+    yp = (p - _CENTRES[k]) / _HALF
+    gap = multiple * solvers.CHEB_ROOT_TOL / _HALF
+    # δ² - (w + gap)δ + gap(y0 + w - yp) = 0, its smaller root
+    delta = 0.5 * ((w + gap) - np.sqrt((w + gap) ** 2
+                                       - 4.0 * gap * (y0 + w - yp)))
+    root = _CENTRES[k] + _HALF * (y0 + delta)
+    found = certified_roots(series_of([root, p]), CHEB_TAIL_REL)
+    assert found == pytest.approx([root], abs=3.0 * solvers.CHEB_ROOT_TOL)
+    assert bool(calls) == fallback
+
+
 # ---------------------------------------------------------------------------
-# the one eigenvalue problem on the unit circle, and when it is left out
+# the one eigenvalue problem in the Lagrange basis, and when it leaves the
+# roots to the per-interval path
 
 # a quartic numerator over the poles 0, 0, 1, 1: bounded at ±∞, with all
 # four roots inside the domain [0, 1]
 QUARTIC_ROOTS = [0.2, 0.45, 0.6, 0.8]
 DOMAIN_POLES = [0.0, 0.0, 1.0, 1.0]
+# the far-root reach of the splits [0, 1]: a root or support point this
+# far beyond a or b leaves the roots to the per-interval path
+UNIT_REACH = 0.25 / solvers.CHEB_MERGE_TOL
 
 
 @pytest.fixture
 def paths(monkeypatch):
-    """The path each _real_roots call takes: "circle" when _circle_roots
+    """The path each _real_roots call takes: "pencil" when _pencil_roots
     gives the roots, "intervals" when it leaves them to the per-interval
     path."""
     taken = []
-    circle = solvers._circle_roots
+    pencil = solvers._pencil_roots
 
     def recorded(*args):
-        roots = circle(*args)
-        taken.append("intervals" if roots is None else "circle")
+        roots = pencil(*args)
+        taken.append("intervals" if roots is None else "pencil")
         return roots
 
-    monkeypatch.setattr(solvers, "_circle_roots", recorded)
+    monkeypatch.setattr(solvers, "_pencil_roots", recorded)
     return taken
 
 
-def arc_ratio(evaluate, poles, splits):
-    """The figure _circle_roots compares with CIRCLE_ARC_RATIO: the median
-    sample size on the domain's arc over the largest, sizes taken as
-    _circle_roots takes them."""
-    a, b = splits[0], splits[-1]
-    c, s = 0.5 * (a + b), 0.5 * (b - a)
-    cot, below, above, arc = solvers._circle_nodes(len(poles) + 1)
-    factor = np.prod(((c - np.asarray(poles)) * below[:, None]
-                      - 1j * s * above[:, None]) / (2.0 * s), axis=1)
-    sizes = evaluate(c + s * cot)[1] * np.abs(factor)
-    return np.median(sizes[arc]) / np.max(sizes)
-
-
-@pytest.mark.parametrize("multiple, path", [(0.5, "intervals"),
-                                            (2.0, "circle")])
-def test_circle_arc_ratio(paths, multiple, path):
-    # the sums of absolute terms outside the domain carry a cancelling
-    # term k times the value, k set so that the arc ratio is the multiple
-    # of CIRCLE_ARC_RATIO
-    numerator = Polynomial.fromroots(QUARTIC_ROOTS)
-    poles = np.array(DOMAIN_POLES)
-    splits = np.array([0.0, 1.0])
-
-    def evaluate_with(k):
-        def evaluate(m):
-            values = numerator(m) / np.prod(m[:, None] - poles, axis=1)
-            outside = (m < 0.0) | (m > 1.0)
-            return values, np.abs(values) * np.where(outside, k, 1.0)
-        return evaluate
-
-    k = arc_ratio(evaluate_with(1.0), poles, splits) / (
-        multiple * solvers.CIRCLE_ARC_RATIO)
-    evaluate = evaluate_with(k)
-    assert arc_ratio(evaluate, poles, splits) == pytest.approx(
-        multiple * solvers.CIRCLE_ARC_RATIO, rel=1e-9)
-    roots = _real_roots(evaluate, poles, splits, 0.0)
-    assert paths == [path]
-    assert roots == pytest.approx(QUARTIC_ROOTS, abs=1e-10)
-
-
-def test_circle_roots_match_the_intervals(monkeypatch):
+def test_pencil_roots_match_the_intervals(monkeypatch):
     numerator = Polynomial.fromroots([-2.5, 0.2, 0.45, 0.8, 7.0])
     poles = [-1.0, 0.0, 0.0, 1.0, 1.0]
-    circle = roots_of(numerator, poles)
-    monkeypatch.setattr(solvers, "_circle_roots", lambda *args: None)
-    assert circle == pytest.approx(roots_of(numerator, poles), rel=1e-13)
+    pencil, intervals = on_both_paths(lambda: roots_of(numerator, poles))
+    assert pencil == pytest.approx(intervals, rel=1e-13)
 
 
 @pytest.mark.parametrize("multiple, merged", [(0.5, True), (2.0, False)])
@@ -377,8 +392,22 @@ def test_interval_roots_merge_within_the_merge_tolerance(monkeypatch, multiple,
     # m = 1/2 ± gap/4 lie the multiple of CHEB_MERGE_TOL apart in x
     gap = multiple * solvers.CHEB_MERGE_TOL
     pair = [0.5 - 0.25 * gap, 0.5 + 0.25 * gap]
-    monkeypatch.setattr(solvers, "_circle_roots", lambda *args: None)
+    monkeypatch.setattr(solvers, "_pencil_roots", lambda *args: None)
     roots = roots_of(Polynomial.fromroots([0.2, *pair, 0.8]), DOMAIN_POLES)
+    expected = [0.2, *([0.5] if merged else pair), 0.8]
+    assert roots == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("multiple, merged", [(0.5, True), (2.0, False)])
+def test_pencil_roots_merge_within_the_merge_tolerance(paths, multiple,
+                                                       merged):
+    # at the domain's centre dθ/dm = 2s/((m − c)² + s²) = 4: simple roots at
+    # m = 1/2 ± gap/8 lie the multiple of CHEB_MERGE_TOL apart in θ, and
+    # the per-interval path takes the closer pair for one root
+    gap = multiple * solvers.CHEB_MERGE_TOL
+    pair = [0.5 - gap / 8.0, 0.5 + gap / 8.0]
+    roots = roots_of(Polynomial.fromroots([0.2, *pair, 0.8]), DOMAIN_POLES)
+    assert paths == ["intervals" if merged else "pencil"]
     expected = [0.2, *([0.5] if merged else pair), 0.8]
     assert roots == pytest.approx(expected, abs=1e-9)
 
@@ -386,32 +415,40 @@ def test_interval_roots_merge_within_the_merge_tolerance(monkeypatch, multiple,
 @pytest.mark.parametrize("numerator, expected", [
     # a double root
     (Polynomial.fromroots([0.2, 0.5, 0.5, 0.8]), [0.2, 0.5, 0.8]),
-    # degree 3 over four poles: f vanishes at ±∞, P at z = 1
+    # degree 3 over four poles: f vanishes at ±∞, and N's leading
+    # coefficient σ is rounding
     (Polynomial.fromroots([0.2, 0.5, 0.8]), [0.2, 0.5, 0.8]),
-    # a complex pair 1e-4 off the real axis, whose eigenvalues lie 4e-4
-    # off the circle
+    # a complex pair 1e-4 off the real axis, whose images lie 4e-4 off the
+    # circle
     (Polynomial.fromroots([0.2, 0.8]) * Polynomial([0.25 + 1e-8, -1.0, 1.0]),
-     [0.2, 0.8]),
-    # m = 0.5 ± 0.5i, the images of z = ∞ and z = 0: the leading
-    # coefficient of P vanishes
-    (Polynomial.fromroots([0.2, 0.8]) * Polynomial([0.5, -1.0, 1.0]),
      [0.2, 0.8]),
     # two roots 1e-6 apart, which the per-interval path merges
     (Polynomial.fromroots([0.2, 0.5, 0.5 + 1e-6, 0.8]), [0.2, 0.5, 0.8]),
     # a root at m = 1e7, θ = 1e-7: the per-interval path takes it for the
     # point at infinity
     (Polynomial.fromroots([0.2, 0.5, 0.8, 1e7]), [0.2, 0.5, 0.8]),
-], ids=["double_root", "deficient_degree", "near_real_pair",
-        "root_at_z_infinity", "close_pair", "root_near_z_one"])
+], ids=["double_root", "deficient_degree", "near_real_pair", "close_pair",
+        "root_near_z_one"])
 def test_circle_guards_leave_the_roots_to_the_intervals(paths, numerator,
                                                         expected):
+    # the pencil's guards measure in θ on the unit circle z = exp(iθ),
+    # m = c + s·cot(θ/2)
     roots = roots_of(numerator, DOMAIN_POLES)
     assert paths == ["intervals"]
     assert roots == pytest.approx(expected, abs=1e-6)
 
 
+def test_pencil_answers_next_to_the_images_of_z_zero_and_infinity(paths):
+    # m = 0.5 ± 0.5i, where the unit-circle map puts z = ∞ and z = 0, are
+    # roots like any other for the pencil
+    numerator = Polynomial.fromroots([0.2, 0.8]) * Polynomial([0.5, -1.0, 1.0])
+    assert roots_of(numerator, DOMAIN_POLES) == pytest.approx([0.2, 0.8],
+                                                              abs=1e-12)
+    assert paths == ["pencil"]
+
+
 @pytest.mark.parametrize("multiple, path", [(0.5, "intervals"),
-                                            (2.0, "circle")])
+                                            (2.0, "pencil")])
 def test_circle_band(paths, multiple, path):
     # m = 1/2 ± iy maps to z with |z| = (1/2 + y)/(1/2 - y), off the circle
     # by the multiple of CIRCLE_BAND
@@ -424,10 +461,100 @@ def test_circle_band(paths, multiple, path):
     assert paths == [path]
 
 
-def test_circle_leaves_a_function_of_other_degree_to_the_intervals(paths):
+def pencil_sums(evaluate, poles, splits):
+    """σ and the largest |w_j|·size_j, the figures _pencil_roots compares
+    with CHEB_TAIL_REL, at the support points it takes."""
+    poles, splits = np.asarray(poles), np.asarray(splits)
+    outer = len(poles) + 2 - len(splits)
+    left = min(int(np.sum(poles < 0.5 * (splits[0] + splits[1]))), outer)
+    support, others, _ = solvers._pencil_tables(len(splits), left,
+                                                outer - left)
+    t = support @ splits
+    values, sizes = evaluate(t)
+    weights = np.prod((t[:, None] - poles) / (t[:, None] - t[others]),
+                      axis=1)
+    return abs(np.sum(weights * values)), np.max(np.abs(weights) * sizes)
+
+
+@pytest.mark.parametrize("multiple, path", [(0.5, "intervals"),
+                                            (2.0, "pencil")])
+def test_pencil_leading_coefficient(paths, multiple, path):
+    # the sums of absolute terms outside the domain carry a cancelling
+    # term k times the value, k set so that |σ| is the multiple of
+    # CHEB_TAIL_REL times the largest |w_j|·size_j
+    numerator = Polynomial.fromroots(QUARTIC_ROOTS)
+    poles = np.array(DOMAIN_POLES)
+    splits = np.array([0.0, 1.0])
+
+    def evaluate_with(k):
+        def evaluate(m):
+            values = numerator(m) / np.prod(m[:, None] - poles, axis=1)
+            outside = (m < 0.0) | (m > 1.0)
+            return values, np.abs(values) * np.where(outside, k, 1.0)
+        return evaluate
+
+    sigma, largest = pencil_sums(evaluate_with(1.0), poles, splits)
+    evaluate = evaluate_with(sigma / (largest * multiple * CHEB_TAIL_REL))
+    sigma, largest = pencil_sums(evaluate, poles, splits)
+    assert sigma / largest == pytest.approx(multiple * CHEB_TAIL_REL,
+                                            rel=1e-9)
+    roots = _real_roots(evaluate, poles, splits, 0.0)
+    assert paths == [path]
+    assert roots == pytest.approx(QUARTIC_ROOTS, abs=1e-10)
+
+
+@pytest.mark.parametrize("multiple, path", [(0.5, "pencil"),
+                                            (2.0, "intervals")])
+def test_pencil_root_reach(paths, multiple, path):
+    # a root the multiple of the far-root reach above b = 1, which the
+    # per-interval path reports too
+    expected = [0.2, 0.5, 0.8, 1.0 + multiple * UNIT_REACH]
+    roots = roots_of(Polynomial.fromroots(expected), DOMAIN_POLES)
+    assert paths == [path]
+    assert roots == pytest.approx(expected, rel=1e-11)
+
+
+@pytest.mark.parametrize("multiple, path", [(0.5, "pencil"),
+                                            (2.0, "intervals")])
+def test_pencil_support_point_reach(paths, multiple, path):
+    # eight poles at a = 0 put support points down to a − 4^6 (the domain
+    # is [0, 1]); the first split interval, of width h, sets the reach
+    # below a to UNIT_REACH·sqrt(h), and h puts a − 4^6 at the multiple of
+    # it
+    h = (4.0 ** 6 / (multiple * UNIT_REACH)) ** 2
+    expected = [-7.0, -4.0, -2.0, 0.3, 0.6, 2.5, 4.0, 6.0, 9.0]
+    roots = roots_of(Polynomial.fromroots(expected), [0.0] * 8 + [1.0],
+                     splits=[0.0, h, 1.0])
+    assert paths == [path]
+    assert roots == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("multiple, path", [(0.5, "pencil"),
+                                            (2.0, "intervals")])
+def test_pencil_newton_step(paths, multiple, path):
+    # the samples at the support points have the root 1/2; every later call
+    # sees all roots moved by the multiple of CHEB_MERGE_TOL in θ at m = 1/2
+    # (where dθ/dm = 4), so the Newton step of that root is about as long
+    shift = multiple * solvers.CHEB_MERGE_TOL / 4.0
+    numerator = Polynomial.fromroots([0.2, 0.5, 0.8])
+    poles = np.array([0.0, 1.0, 1.0])
+    calls = []
+
+    def evaluate(m):
+        moved = m - shift if calls else m
+        calls.append(len(m))
+        values = numerator(moved) / np.prod(m[:, None] - poles, axis=1)
+        return values, np.abs(values)
+
+    roots = _real_roots(evaluate, poles, np.array([0.0, 1.0]), 0.0)
+    assert paths == [path]
+    assert roots == pytest.approx([0.2 + shift, 0.5 + shift, 0.8 + shift],
+                                  abs=1e-10)
+
+
+def test_pencil_leaves_a_function_of_other_degree_to_the_intervals(paths):
     # (m - 1/2)/sqrt(1 + m²) is no ratio of polynomials over the poles, so
-    # the roots of its interpolant on the circle are off, and their Newton
-    # steps run long
+    # the pencil's eigenvalues are off, and their Newton steps run long
     def evaluate(m):
         values = (m - 0.5) / np.sqrt(1.0 + m * m)
         return values, np.abs(values)
@@ -438,8 +565,8 @@ def test_circle_leaves_a_function_of_other_degree_to_the_intervals(paths):
     assert paths == ["intervals"]
 
 
-def test_circle_leaves_samples_that_are_not_finite_to_the_intervals(paths):
-    # infinite inside the domain, so on every sample of the arc
+def test_pencil_leaves_samples_that_are_not_finite_to_the_intervals(paths):
+    # infinite inside the domain, so at the support point in its middle
     numerator = Polynomial.fromroots([-2.0, 0.5, 3.0])
     poles = np.array([0.0, 0.0, 1.0])
 
@@ -451,7 +578,7 @@ def test_circle_leaves_samples_that_are_not_finite_to_the_intervals(paths):
     splits = np.array([0.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert solvers._circle_roots(evaluate, poles, splits, 0.0) is None
+        assert solvers._pencil_roots(evaluate, poles, splits, 0.0) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         roots = _real_roots(evaluate, poles, splits, 0.0)
@@ -459,29 +586,37 @@ def test_circle_leaves_samples_that_are_not_finite_to_the_intervals(paths):
     assert paths == ["intervals"] * 2
 
 
+def test_pencil_leaves_fewer_poles_than_intervals_to_the_intervals(paths):
+    # one pole and three split intervals: two support points fix N, too few
+    # for one in the middle of every interval
+    roots = roots_of(Polynomial.fromroots([0.1]), [3.0],
+                     splits=[0.0, 0.5, 1.0, 3.0])
+    assert roots == pytest.approx([0.1], abs=1e-10)
+    assert paths == ["intervals"]
+
+
 @pytest.mark.parametrize("poles", [[0.0, 0.0, 0.5, 1.0, 1.0],
                                    [0.0] * 4 + [0.5] + [1.0] * 4])
-def test_circle_nodes_miss_poles_at_both_domain_ends(paths, poles):
-    # len(poles) + 1 ≡ 2 (mod 4): nodes at 2π(j + 1/2)/size would land on
-    # the images of both domain ends, where the samples are infinite
+def test_pencil_takes_poles_at_both_domain_ends(paths, poles):
+    # support points below a and above b, as many as there are poles at a
     expected = [-3.0, 0.1, 0.3, 0.7, 0.9, 2.0, 5.0, 9.0, 11.0][: len(poles)]
     assert roots_of(Polynomial.fromroots(expected), poles) == pytest.approx(
         expected, abs=1e-9)
-    assert paths == ["circle"]
+    assert paths == ["pencil"]
 
 
-def test_seed_one_plants_take_the_circle_and_many_pieces_do_not(paths):
+def test_seed_one_plants_and_many_pieces_take_the_pencil(paths):
     for kind in ("problem2", "problem3"):
         for plant in seed_one_plants(kind):
             solve_plant(kind, *plant)
-    assert paths == ["circle"] * 32
+    assert paths == ["pencil"] * 32
     paths.clear()
     rng = np.random.default_rng(1)
     for pieces in (48, 64):
         for degree in (2, 3, 4, 5):
             knots, base, opposite = plant_strip(rng, degree, pieces)[:3]
             solve_plant("problem1", degree, knots, base, opposite)
-    assert paths == ["intervals"] * 8
+    assert paths == ["pencil"] * 8
 
 
 def test_import_loads_no_fft():

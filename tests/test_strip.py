@@ -11,7 +11,7 @@ from devstrip import (
     planarity_report,
     propagate_polygon,
 )
-from devstrip.strip import CONTROL_RELATION_TOL
+from devstrip.strip import CONTROL_RELATION_TOL, RELATION_FLOOR_REL
 
 import reference as ref
 from helpers import (assert_point_close, assert_polygon_close, insert_knot,
@@ -118,6 +118,18 @@ class TestControlRelation:
     def test_mismatched_knots_rejected(self, quad_curve, cubic_curve):
         with pytest.raises(ValueError, match="share one knot vector"):
             control_relation_residuals(quad_curve, cubic_curve, -1.0, -2.0)
+
+    @pytest.mark.parametrize("multiple", [0.5, 2.0])
+    def test_relation_floor_rel(self, multiple):
+        # one linear cell at λ* = m* = 1/2 whose three nonzero terms have
+        # norm t/2, the multiple of the floor (the polygon scale is 1): the
+        # defect √3·t/2 is divided by the larger of the two
+        t = 2.0 * multiple * RELATION_FLOOR_REL
+        c = BSplineCurve((0.0, 1.0), ((t, 0.0, 0.0), (0.0, t, 0.0)), 1)
+        d = BSplineCurve((0.0, 1.0), ((0.0, 0.0, t), (0.0, 0.0, 0.0)), 1)
+        residual, = control_relation_residuals(c, d, 0.5, 0.5)
+        assert residual == pytest.approx(np.sqrt(3.0) * min(multiple, 1.0),
+                                         rel=1e-12)
 
 
 class TestCellPlanarity:

@@ -16,7 +16,7 @@ from devstrip import (
     solve_problem2,
     solve_problem3,
 )
-from devstrip.verify import COLLAPSED_RULING_REL
+from devstrip.verify import COLLAPSED_RULING_REL, PLANARITY_FLOOR_REL
 
 import reference as ref
 from helpers import (assert_point_close, assert_scan_close,
@@ -183,6 +183,17 @@ class TestPlanarityReport:
         report = planarity_report(RuledPatch(c, d))
         assert len(report) == 1
         assert report[0] > 1e-3  # genuinely twisted cell
+
+    @pytest.mark.parametrize("multiple", [0.5, 2.0])
+    def test_planarity_floor_rel(self, multiple):
+        # a cell whose edge c_1 - c_0 is the multiple of the floor long, the
+        # other two unit and square to it (the cell scale is 1): the
+        # determinant, that length, is divided by the larger of the two
+        e = multiple * PLANARITY_FLOOR_REL
+        c = BSplineCurve((0.0, 1.0), ((0.0, 0.0, 0.0), (e, 0.0, 0.0)), 1)
+        d = BSplineCurve((0.0, 1.0), ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 1)
+        report = planarity_report(RuledPatch(c, d))
+        assert report == pytest.approx([min(multiple, 1.0)], rel=1e-12)
 
     def test_picks_out_the_bent_cell(self, quad_strip):
         d = np.array(quad_strip.opposite.control)
