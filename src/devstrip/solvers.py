@@ -287,7 +287,8 @@ def _pencil_tables(splits: int, left: int, right: int
     lower = 4.0 ** np.arange(left - 2.0, -2.0, -1.0)
     upper = 4.0 ** np.arange(-1.0, right - 1.0)
     support[:left, 0], support[:left, -1] = 1.0 + lower, -lower
-    support[size - right :, -1], support[size - right :, 0] = 1.0 + upper, -upper
+    above = slice(size - right, size)
+    support[above, -1], support[above, 0] = 1.0 + upper, -upper
     others = np.arange(1, size) - np.tri(size, size - 1, -1, dtype=int)
     tables = support, others, np.eye(size - 1)
     for table in tables:
@@ -314,18 +315,19 @@ def _pencil_roots(evaluate, poles: np.ndarray, splits: np.ndarray,
 
     Distances are in θ of m = c + s·cot(θ/2), c and s the centre and
     half-width of the splits, which maps the real line onto the unit circle
-    z = exp(iθ).  The eigenvalues within CHEB_IMAG_TOL of the circle are the
-    real roots; each takes one Newton step on f, its slope a central
-    difference across CHEB_MERGE_TOL in θ, and the roots within
-    ``exclusion_radius`` of a split are dropped.
+    z = exp(iθ).  The eigenvalues whose images lie within CHEB_IMAG_TOL of
+    the circle are the real roots; each takes one Newton step on f, its
+    slope a central difference across CHEB_MERGE_TOL in θ, and the roots
+    within ``exclusion_radius`` of a split are dropped.
 
     It gives None when there are fewer support points than split intervals
     or one lies beyond the far-root reach (below), a sample is not finite,
-    σ is rounding (a root at infinity or a deficient degree), an eigenvalue
-    lies CHEB_IMAG_TOL..CIRCLE_BAND off the circle (a near-real pair or a
-    split multiple root), two roots lie within CHEB_MERGE_TOL in θ, a root
-    lies beyond the reach, or a Newton step is longer than CHEB_MERGE_TOL
-    in θ."""
+    |σ| is at most CHEB_TAIL_REL of the largest |w_j| times its sample's
+    size (a root at infinity or a deficient degree), an image lies
+    CHEB_IMAG_TOL..CIRCLE_BAND off the circle (a near-real pair or a split
+    multiple root), two roots lie within CHEB_MERGE_TOL in θ, a root lies
+    beyond the reach, or a Newton step is longer than CHEB_MERGE_TOL in
+    θ."""
     a, b = splits[0], splits[-1]
     c, s = 0.5 * (a + b), 0.5 * (b - a)
     outer = len(poles) + 2 - len(splits)

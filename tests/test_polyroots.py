@@ -133,8 +133,9 @@ def test_non_finite_coefficients_raise():
 def test_scaling_invariance():
     base = Polynomial.fromroots([-1.5, 0.25, 4.0])
     poles = [-2.0, 0.0, 5.0]
-    for scaled, plain in zip(on_both_paths(lambda: roots_of(1e8 * base, poles)),
-                             on_both_paths(lambda: roots_of(base, poles))):
+    for scaled, plain in zip(
+            on_both_paths(lambda: roots_of(1e8 * base, poles)),
+            on_both_paths(lambda: roots_of(base, poles))):
         assert scaled == pytest.approx(plain, abs=1e-10)
         assert plain == pytest.approx([-1.5, 0.25, 4.0], abs=1e-10)
 
