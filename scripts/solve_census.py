@@ -20,7 +20,9 @@ pinches (null unless tau < 0), the final control points of
 both boundaries and the developability_scan record of the final patch at
 20 samples per piece (the benchmark's density): max residual and its
 parameter, samples used and skipped.  Every float is written as float.hex,
-so two records compare exactly.
+so two records compare exactly.  Each line also counts the root searches of
+its solve that the Lagrange-basis eigenvalue problem left to the
+per-interval path (null for a --src without solvers._pencil_roots).
 
 --compare lists every case whose scan record changed, with the old and new
 fields, then the changes that make it exit 1, then a summary: the count of
@@ -32,7 +34,9 @@ residual.  It exits 1 when an outcome, a root count, a scan's samples or
 skipped count, or a scan's verdict against devstrip's VERIFY_TOL (max
 residual at most the tolerance) differs, or a case is missing from one
 record.  Those lines come last, above the summary, so that a long list of
-rescanned cases does not bury them.
+rescanned cases does not bury them.  The summary ends with each record's
+total of root searches left to the per-interval path, which no exit code
+depends on.
 """
 
 import argparse
@@ -158,6 +162,16 @@ def census(seeds: int, src: Path):
     import devstrip
     import run as bench
 
+    # whether each root search of the current solve left the pencil
+    left = []
+    pencil = getattr(devstrip.solvers, "_pencil_roots", None)
+    if pencil is not None:
+        def counted(*args):
+            roots = pencil(*args)
+            left.append(roots is None)
+            return roots
+
+        devstrip.solvers._pencil_roots = counted
     for seed in range(1, seeds + 1):
         for workload in ("pieces_sweep", "elevated", "extra", "large"):
             if workload == "extra":
@@ -172,6 +186,7 @@ def census(seeds: int, src: Path):
                     continue
                 label = "fixed" if not case.must_pass else f"seed{seed}"
                 line = {"case": f"{workload}/{label}/{case.name}"}
+                left.clear()
                 try:
                     first, patch, pinch = _solve(devstrip, case)
                 except Exception as exc:
@@ -189,6 +204,7 @@ def census(seeds: int, src: Path):
                         scan=[float(scan.max_residual).hex(),
                               float(scan.argmax_u).hex(),
                               scan.samples, scan.skipped])
+                line["fallbacks"] = None if pencil is None else sum(left)
                 yield line
 
 
@@ -199,6 +215,12 @@ def _read(path: str) -> dict:
 
 def _floats(values):
     return [float.fromhex(v) for v in values]
+
+
+def _fallbacks(record: dict) -> str:
+    counts = [line.get("fallbacks") for line in record.values()]
+    counts = [count for count in counts if count is not None]
+    return str(sum(counts)) if counts else "not recorded"
 
 
 def compare(old_path: str, new_path: str) -> int:
@@ -256,6 +278,8 @@ def compare(old_path: str, new_path: str) -> int:
         f"{key} {value:.3g}" for key, value in moves.items()))
     print(f"largest absolute change of a scan residual: "
           f"{residual_change:.3g}")
+    print("root searches left to the per-interval path: " + " and ".join(
+        _fallbacks(record) for record in (old, new)))
     return 1 if changed else 0
 
 

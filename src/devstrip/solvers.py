@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebroots, chebvander
+from numpy.polynomial.chebyshev import chebroots
 
 from .bspline import (BSplineCurve, KnotVector, _dropped_blossoms, _windows,
                       as_point3)
@@ -37,7 +37,15 @@ from .strip import (POLE_GUARD_REL, DevelopableStrip, RuledPatch,
 RULING_PARALLEL_TOL = 1e-9
 ANCHOR_LINE_TOL = 1e-9
 CONE_TOL = 1e-9
+# The point a(M*) where the end ruling lines meet lies off their plane when
+# its distance from it exceeds this fraction of max(1, ‖a(M*) − c_L‖).
 OUT_OF_PLANE_TOL = 1e-9
+# a(M*) − c_L = α·v + β·w; a ruling scale is pinned to zero when |α|·‖v‖ or
+# |β|·‖w‖ is at most this fraction of max(1, ‖a(M*) − c_L‖).
+PINNED_SCALE_REL = 1e-12
+# The propagated polygon closes onto the last ruling when its last vertex
+# misses c_L + τ·w by at most this fraction of max(1, ‖τ·w‖).
+CLOSING_REL = 1e-6
 # Data are planar when every det(c_i − c_L, v, w) is below this fraction of
 # max ‖c_i − c_L‖ · ‖v × w‖, the largest value such a determinant can take.
 PLANAR_DET_REL = 1e-12
@@ -74,16 +82,6 @@ CHEB_IMAG_TOL = 1e-5
 # polishes a root moves it by at most this much.  On an outer ray, a root
 # this close to x = 1 is the point at infinity.
 CHEB_MERGE_TOL = 1e-5
-# Before any eigenvalue solve, each converged interpolant is cut into this
-# many equal sub-intervals of the window |x| <= 1 + CHEB_IMAG_TOL, where
-# colleague-matrix roots are kept.  A root of a sub-interval that holds
-# exactly one starts from the sign change on a grid of this many cells and
-# takes this many Newton steps on the interpolant; it is kept only if the
-# interpolant changes sign within CHEB_ROOT_TOL of where the steps end.
-CHEB_SPLIT = 8
-CHEB_CELLS = 8
-CHEB_NEWTON_STEPS = 3
-CHEB_ROOT_TOL = 1e-10
 
 # Eigenvalues of the Lagrange-basis pencil (``_pencil_roots``) whose images
 # on the unit circle's map lie within CHEB_IMAG_TOL of the circle are real
@@ -92,33 +90,17 @@ CHEB_ROOT_TOL = 1e-10
 CIRCLE_BAND = 1e-3
 
 
-def _chebyshev_tables() -> tuple[np.ndarray, ...]:
+def _chebyshev_tables() -> tuple[np.ndarray, np.ndarray]:
     """The first-kind Chebyshev points and the matrix that takes the
-    samples there to the interpolant's coefficients.  For such a series:
-    the matrix to its CHEB_SPLIT sub-interval series in y ∈ [-1, 1]
-    (points × CHEB_SPLIT·points) and the matrix to its derivative series.
-    Then the values of a sub-interval series on its cell grid, and the
-    sub-interval centres and half-width in x."""
+    samples there to the interpolant's coefficients."""
     size = CHEB_POINTS
     theta = np.pi * (np.arange(size) + 0.5) / size
-    nodes = np.cos(theta)
     basis = np.cos(np.outer(theta, np.arange(size))) * (2.0 / size)
     basis[:, 0] *= 0.5
-    window = 1.0 + CHEB_IMAG_TOL
-    half = window / CHEB_SPLIT
-    centres = window * np.arange(1 - CHEB_SPLIT, CHEB_SPLIT, 2) / CHEB_SPLIT
-    points = (centres[:, None] + half * nodes).ravel()
-    split = chebvander(points, size - 1).T.reshape(size, CHEB_SPLIT, size) \
-        @ basis
-    derivative = np.zeros((size, size))
-    derivative[:, :-1] = chebder(np.eye(size), axis=0).T
-    cells = chebvander(np.linspace(-1.0, 1.0, CHEB_CELLS + 1), size - 1).T
-    return (nodes, basis, split.reshape(size, -1), derivative, cells,
-            centres, half)
+    return np.cos(theta), basis
 
 
-(_NODES, _BASIS, _SPLIT, _DERIVATIVE, _CELLS, _CENTRES,
- _HALF) = _chebyshev_tables()
+_NODES, _BASIS = _chebyshev_tables()
 
 
 def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -175,9 +157,9 @@ def _real_roots(evaluate, poles: np.ndarray, splits, exclusion_radius: float
     m = a − s(1+x)/(1−x), with s the geometric mean of the first interval
     and the whole span, and its function is multiplied by ((m−a)/(m−b))^mult
     at a; the ray above b is its mirror.  Each piece gets an adaptive
-    Chebyshev interpolant, whose roots ``_interpolant_roots`` finds for all
-    pieces at once; each simple root then gets one Newton step on the
-    function."""
+    Chebyshev interpolant, whose roots ``_interpolant_roots`` finds, one
+    colleague-matrix eigenvalue solve per interpolant that may hold one;
+    each simple root then gets one Newton step on the function."""
     splits = np.asarray(splits, dtype=float)
     roots = _pencil_roots(evaluate, poles, splits, exclusion_radius)
     if roots is not None:
@@ -390,86 +372,20 @@ def _interpolant_roots(coef: np.ndarray, tol: np.ndarray
     row and x of each root: the eigenvalues of the colleague matrix of each
     series, with its coefficients at or below ``tol`` dropped from the top,
     whose imaginary part is at most CHEB_IMAG_TOL and whose real part lies
-    in the window |x| <= 1 + CHEB_IMAG_TOL, mostly found without an
-    eigenvalue solve.  A series has none to look for when its coefficients
-    are not finite, it is constant, or its constant term bounds the rest
-    away from zero.
-
-    A series with a root to look for is cut into CHEB_SPLIT sub-intervals.
-    A sub-interval is settled when its own series has a constant term
-    that exceeds the sum of the other terms' sizes by more than ``tol``
-    (no root), or its derivative series has one (monotone) and its end
-    values clear ``tol`` (one root if their signs differ, none if not).
-    A near-double root or close pair, a root on or near an edge and a
-    flat stretch fail both tests.  A root's Newton steps must end within
-    CHEB_ROOT_TOL of a sign change, or its sub-interval is unsettled too;
-    a series with any sub-interval left unsettled goes whole to
-    ``chebroots``."""
-    size = coef.shape[1]
+    in the window |x| <= 1 + CHEB_IMAG_TOL.  A series has none to look for
+    when its coefficients are not finite, it is constant, or its constant
+    term bounds the rest away from zero."""
     big = np.abs(coef) > tol[:, None]
-    # the series with a root to look for
     rows = (np.isfinite(coef).all(axis=1) & big[:, 1:].any(axis=1)
             & (np.abs(coef[:, 0]) <= np.abs(coef[:, 1:]).sum(axis=1))
             ).nonzero()[0]
-    # the series as chebroots gets them, cut to the longest among them
-    top = size - big[rows, ::-1].argmax(axis=1)
-    terms = np.arange(top.max(initial=1))
-    c = np.where(terms < top[:, None], coef[rows, : len(terms)], 0.0)
-    t = tol[rows, None]
-
-    # each sub-interval's series and derivative series, and how far their
-    # constant terms exceed the sum of the other terms' sizes
-    sub = (c @ _SPLIT[: len(terms)]).reshape(len(rows), CHEB_SPLIT, size)
-    sizes = np.abs(np.array((sub, sub @ _DERIVATIVE)))
-    margin = 2.0 * sizes[..., 0] - sizes.sum(axis=-1)
-    values = sub @ _CELLS
-    ends = values[..., [0, -1]]
-    free = margin[0] > t
-    monotone = (margin[1] > t) & (np.abs(ends) > t[..., None]).all(axis=-1)
-    settled = (free | monotone).all(axis=1)
-    crossing = monotone & settled[:, None] & (
-        (ends[..., 0] < 0) != (ends[..., 1] < 0))
-
-    # each root starts from linear interpolation in the cell where the
-    # values change sign and stays in that cell; its Newton steps run on
-    # the series itself, whose roots chebroots would report
-    r, k = crossing.nonzero()
-    negative = values[r, k] < 0
-    cell = (negative[:, 1:] != negative[:, :-1]).argmax(axis=1)
-    below = values[r, k, cell]
-    width = 2.0 / CHEB_CELLS
-    start = -1.0 + width * cell
-    share = below / (below - values[r, k, cell + 1])
-    lo, x, hi = (_CENTRES[k] + _HALF * y
-                 for y in (start, start + width * share, start + width))
-    pair = np.concatenate((c[r], c[r] @ _DERIVATIVE[: len(terms), : len(terms)]),
-                          axis=1).reshape(len(r), 2, len(terms))
-
-    def at(points, series):
-        # T_k(x) = cos(k·arccos x), also for the |x| > 1 the window allows
-        basis = np.cos(np.arccos(points + 0j)[..., None] * terms).real
-        return series @ basis.swapaxes(1, 2)
-
-    for _ in range(CHEB_NEWTON_STEPS):
-        value, slope = at(x[:, None], pair)[..., 0].T
-        x = (x - value / slope).clip(lo, hi)
-    # the steps need not have converged (a vertex just past the window can
-    # throw them off), so the sign change is checked
-    probe = (x[:, None] + (-CHEB_ROOT_TOL, CHEB_ROOT_TOL)).clip(lo[:, None],
-                                                                hi[:, None])
-    near = at(probe, c[r][:, None])[:, 0]
-    settled[r[np.sign(near[:, 0]) * np.sign(near[:, 1]) > 0]] = False
-    x = x[settled[r]]
-    r = r[settled[r]]
-
-    rest = (~settled).nonzero()[0]
-    found = [chebroots(c[k, : top[k]]) for k in rest]
-    row = np.concatenate([r] + [np.full(len(z), k)
-                                for k, z in zip(rest, found)])
-    z = np.concatenate([x] + found)
+    top = coef.shape[1] - big[rows, ::-1].argmax(axis=1)
+    found = [chebroots(coef[k, :n]) for k, n in zip(rows, top)]
+    row = rows.repeat([len(z) for z in found])
+    z = np.concatenate([np.empty(0)] + found)
     real = (np.abs(z.imag) <= CHEB_IMAG_TOL) \
         & (np.abs(z.real) <= 1.0 + CHEB_IMAG_TOL)
-    return rows[row[real]], z.real[real]
+    return row[real], z.real[real]
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +531,8 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
     # (alpha, beta): coordinates of a(M*) − c_L in the (v, w) frame
     alpha = _det3(offset, w, normal) / gram
     beta = _det3(v, offset, normal) / gram
-    if abs(alpha) * nv <= 1e-12 * offset_scale or \
-            abs(beta) * nw <= 1e-12 * offset_scale:
+    if abs(alpha) * nv <= PINNED_SCALE_REL * offset_scale or \
+            abs(beta) * nw <= PINNED_SCALE_REL * offset_scale:
         raise InfeasibleProblemError(
             "a boundary ruling scale is pinned to zero for this root; the "
             "prescribed endpoint cannot be reached")
@@ -643,7 +559,7 @@ def solve_problem1(curve: BSplineCurve, v, w, *,
     closing = opposite.control[-1] - ctrl[-1]
     target = tau * w
     if np.linalg.norm(closing - target) > \
-            1e-6 * max(1.0, np.linalg.norm(target)):
+            CLOSING_REL * max(1.0, np.linalg.norm(target)):
         raise InfeasibleProblemError(
             "polygon recursion failed to close onto the last ruling line")
     try:

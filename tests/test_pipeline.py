@@ -289,9 +289,13 @@ class TestScripts:
         # elevated ones, 108 that the benchmark never draws and 48 of
         # problems 2 and 3 at 12-64 pieces
         assert len(lines) == 224
+        fallbacks = sum(json.loads(line)["fallbacks"] for line in lines)
         script = load_script("solve_census", monkeypatch)
         assert script.main(["--compare", str(record), str(record)]) == 0
-        assert "224 and 224 solves, 0 changed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "224 and 224 solves, 0 changed" in out
+        assert out.endswith("root searches left to the per-interval path: "
+                            f"{fallbacks} and {fallbacks}\n")
 
         first = json.loads(lines[0])
         first["roots"] = first["roots"][1:]
@@ -381,4 +385,4 @@ class TestScripts:
             f"{flipped['case']}: scan verdict against 1e-08 flipped")
         assert out[len(solved) + 1].startswith(
             f"{len(lines)} and {len(lines)} solves, 1 changed")
-        assert len(out) == len(solved) + 4
+        assert len(out) == len(solved) + 5

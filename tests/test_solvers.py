@@ -417,6 +417,89 @@ class TestNamedTolerances:
             direction(0.5)
         assert direction(2.0)[2] > 0.0
 
+    def test_out_of_plane_tol(self, cubic, cubic_p1, monkeypatch):
+        # the root is moved along m until a(M*) lies the multiple of
+        # OUT_OF_PLANE_TOL · max(1, |a(M*) − c_L|) off the ruling plane;
+        # that distance grows linearly with the move
+        ctrl = cubic.control
+        normal = np.cross(ref.CUBIC_V, ref.CUBIC_W)
+        root = cubic_p1.chosen_root
+
+        def distance(m):
+            offset = _ratio_weights(cubic.knots, len(ctrl), [m])[0] \
+                @ ctrl[:-1] - ctrl[-1]
+            return abs(offset @ normal) / np.linalg.norm(normal) \
+                / max(1.0, np.linalg.norm(offset))
+
+        h = 1e-6
+        slope = distance(root + h) / h
+
+        def solve(factor):
+            moved = root + factor * solvers.OUT_OF_PLANE_TOL / slope
+            assert distance(moved) == pytest.approx(
+                factor * solvers.OUT_OF_PLANE_TOL, rel=1e-3)
+            monkeypatch.setattr(solvers, "_real_roots",
+                                lambda *args: [moved])
+            return solve_problem1(cubic, ref.CUBIC_V, ref.CUBIC_W,
+                                  d0=ref.CUBIC_D0)
+
+        solve(0.5)
+        with pytest.raises(InfeasibleProblemError,
+                           match="off the ruling plane"):
+            solve(2.0)
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["alpha", "beta"])
+    def test_pinned_scale_rel(self, cubic, axis):
+        # with v = e_x and w = e_y, α and β are the x and y of a(M*) − c_L,
+        # and the x and y of c_L move neither the compatibility function nor
+        # its roots: one of them is set so that |α| or |β| is the multiple
+        # of PINNED_SCALE_REL · max(1, |a(M*) − c_L|).  The anchor sits on
+        # the other ruling
+        control = np.array(ref.CUBIC_CONTROL)
+        v, w = np.eye(3)[0], np.eye(3)[1]
+        m = solve_problem1(cubic, v, w, d0=control[0] + v).chosen_root
+        point = _ratio_weights(cubic.knots, len(control), [m])[0] \
+            @ control[:-1]
+        scale = max(1.0, abs(point[1 - axis] - control[-1, 1 - axis]))
+
+        def solve(factor):
+            moved = control.copy()
+            moved[-1, axis] = point[axis] \
+                - factor * solvers.PINNED_SCALE_REL * scale
+            curve = BSplineCurve(ref.CUBIC_KNOTS, moved, 3)
+            anchor = {"dL": moved[-1] + w} if axis == 0 else \
+                {"d0": moved[0] + v}
+            return solve_problem1(curve, v, w, **anchor)
+
+        with pytest.raises(InfeasibleProblemError, match="pinned"):
+            solve(0.5)
+        sol = solve(2.0)
+        assert abs((sol.alpha, sol.beta)[axis]) == pytest.approx(
+            2.0 * solvers.PINNED_SCALE_REL * scale, rel=1e-3)
+
+    def test_closing_rel(self, cubic, cubic_p1, monkeypatch):
+        # the recursion's last vertex moved off c_L + τ·w by the multiple of
+        # CLOSING_REL · max(1, |τ·w|); past the closing test, the moved
+        # vertex breaks the control relation of the last cell
+        gap = solvers.CLOSING_REL * max(1.0, np.linalg.norm(
+            cubic_p1.tau * np.asarray(ref.CUBIC_W)))
+
+        def solve(factor):
+            def moved(*args):
+                opposite = propagate_polygon(*args)
+                control = opposite.control.copy()
+                control[-1, 2] += factor * gap
+                return BSplineCurve(opposite.knots, control, opposite.degree)
+
+            monkeypatch.setattr(solvers, "propagate_polygon", moved)
+            return solve_problem1(cubic, ref.CUBIC_V, ref.CUBIC_W,
+                                  d0=ref.CUBIC_D0)
+
+        with pytest.raises(InfeasibleProblemError, match="valid strip"):
+            solve(0.5)
+        with pytest.raises(InfeasibleProblemError, match="failed to close"):
+            solve(2.0)
+
 
 def planted_strips(pieces, scaled):
     """The seeded planted strips at one piece count, degrees 2-5, on [0, 1]
@@ -504,8 +587,8 @@ class TestCompatibilityRoots:
 
 
 class TestEigenvalueCalls:
-    """A colleague-matrix eigenvalue solve (chebroots) runs only for an
-    interpolant whose sub-intervals the coefficient tests cannot settle."""
+    """A multiple root, which the pencil's guards leave to the per-interval
+    path, still reaches its colleague-matrix eigenvalue solve (chebroots)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -518,14 +601,6 @@ class TestEigenvalueCalls:
 
         monkeypatch.setattr(solvers, "chebroots", wrapped)
         return counted
-
-    @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "pieces"])
-    @pytest.mark.parametrize("pieces", [16, 64])
-    def test_planted_strips_make_at_most_two(self, calls, pieces, scaled):
-        for _, _, _, curve, v, w, d0, _ in planted_strips(pieces, scaled):
-            calls.clear()
-            solve_problem1(curve, v, w, d0=d0)
-            assert len(calls) <= 2, (curve.degree, calls)
 
     @pytest.mark.parametrize("m0", [-1.5, 2.5])
     def test_tangential_root_still_reaches_chebroots(self, calls, cubic, m0):
