@@ -15,6 +15,7 @@ and knot vectors never mutate, and all operations return new objects.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -313,21 +314,66 @@ def _de_boor(knots: KnotVector, control: np.ndarray, spans: np.ndarray,
     (n+1, c, k) with the k rows innermost; rows may mix spans.
 
     Stage r pulls argument r in, replacing one knot of every pair that
-    brackets the span, over all k rows and c columns at once.
+    brackets the span, over all k rows and c columns at once.  The blend
+    weights of all stages come from one pass over the gathered knots and
+    arguments (see `_stage_table`); each stage only blends.
     """
     n = knots.degree
-    # pts[i] starts as control point first + 1 + i, and kn[j] is knot
-    # first + 1 + j: stage r blends pts[i] over knots kn[i-1], kn[i+n-r]
+    knot_rows, point_rows, blends = _stage_table(n, stages)
     first = spans - n
-    kn = knots._array[first + np.arange(1, 2 * n + 1)[:, None]]
-    pts = control[first + np.arange(1, n + 2)[:, None]].transpose(0, 2, 1).copy()
+    # knots first + 1..2n of every row, then its arguments: rows lo, arg,
+    # hi of `blends` pick each blend's weight (arg - lo) / (hi - lo)
+    ends = np.concatenate((knots._array[first + knot_rows],
+                           args.T)).take(blends, axis=0)
+    spread = ends[1:] - ends[0]
+    w = spread[0] / spread[1]
+    keep = 1.0 - w
+    pts = control.take(first + point_rows, axis=0).transpose(0, 2, 1).copy()
+    end = 0
     for r in range(1, stages + 1):
-        lo, hi = kn[r - 1 : n], kn[n : 2 * n + 1 - r]
-        w = ((args[:, r - 1] - lo) / (hi - lo))[:, None, :]
-        kept = (1.0 - w) * pts[r - 1 : n]
-        pts[r:] *= w
-        pts[r:] += kept
+        start, end = end, end + n + 1 - r
+        kept = keep[start:end] * pts[r - 1 : n]
+        blended = pts[r:]
+        blended *= w[start:end]
+        blended += kept
     return pts
+
+
+@functools.lru_cache(maxsize=None)
+def _stage_table(degree: int, stages: int) -> tuple[np.ndarray, ...]:
+    """Read-only index tables of `_de_boor`'s first `stages` stages at
+    degree n: the offsets from span - n of its knot rows (2n, 1) and
+    control rows (n+1, 1), and, for every blend in stage order, its low
+    knot, argument and high knot as rows of the knot rows followed by the
+    argument columns, as (3, blends, 1).
+
+    pts[i] starts as control point first + 1 + i and knot row j is knot
+    first + 1 + j: stage r blends pts[i], i = r..n, over knot rows i - 1
+    and i + n - r at argument r - 1."""
+    n = degree
+    blends = np.array([(i - 1, 2 * n + r - 1, i + n - r)
+                       for r in range(1, stages + 1)
+                       for i in range(r, n + 1)], dtype=np.intp)
+    tables = (np.arange(1, 2 * n + 1)[:, None], np.arange(1, n + 2)[:, None],
+              blends.reshape(-1, 3).T[:, :, None])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _window_tables(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index tables of the windows at degree n: in row j, the
+    n indices of n+1 arguments other than j, ascending, as (n+1, n); and
+    in row i, which of the n slots of Bézier window i take the upper knot
+    (the last i), as (n+1, n)."""
+    n = degree
+    slot = np.arange(n)
+    tables = (slot + (slot >= np.arange(n + 1)[:, None]),
+              slot >= n - np.arange(n + 1)[:, None])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _blossoms(knots: KnotVector, control: np.ndarray, spans: np.ndarray,
@@ -343,9 +389,7 @@ def _dropped_blossoms(knots: KnotVector, control: np.ndarray,
     dropped, as (m, k, c): slice j drops argument j.  All m·k windows go
     through one kernel call; spans (k,) name each row's piece."""
     m = args.shape[1]
-    # row j of keep lists the argument indices other than j, ascending
-    slot = np.arange(m - 1)
-    keep = slot + (slot >= np.arange(m)[:, None])
+    keep = _window_tables(m - 1)[0]
     windows = args[:, keep].transpose(1, 0, 2).reshape(-1, m - 1)
     return _blossoms(knots, control, np.concatenate((spans,) * m),
                      windows).reshape(m, len(args), -1)
@@ -361,7 +405,7 @@ def _bezier_points(knots: KnotVector, control: np.ndarray) -> np.ndarray:
     spans = knots._spans
     lo, hi = knots._array[spans], knots._array[spans + 1]
     # window i takes u_{j+1} in its last i slots
-    upper = np.arange(n) >= n - np.arange(n + 1)[:, None]
+    upper = _window_tables(n)[1]
     args = np.where(upper, hi[:, None, None], lo[:, None, None])
     points = _blossoms(knots, control, spans.repeat(n + 1), args.reshape(-1, n))
     return points.reshape(len(spans), n + 1, -1)

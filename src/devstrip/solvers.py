@@ -636,10 +636,17 @@ def solve_problem2(curve: BSplineCurve, d0, dL,
 
 def apex_direction(curve: BSplineCurve, d_prime_a) -> np.ndarray:
     """First-ruling direction that realizes a prescribed start velocity
-    on the opposite boundary after the ruling-collapsing rescale."""
+    on the opposite boundary after the ruling-collapsing rescale.
+
+    The curve's start velocity is that of a clamped start, n (c_1 - c_0) /
+    (u_n - a), also where the first knots lie within the knot tolerance of
+    a but not on it, as every solver takes such a start as clamped; where
+    they equal a it is derivative_at(a) bit for bit."""
+    _require_clamped(curve.knots)
     d_prime_a = as_point3(d_prime_a)
     a, b = curve.domain
-    start_velocity = curve.derivative_at(a)
+    n, ctrl = curve.degree, curve.control
+    start_velocity = n * (ctrl[1] - ctrl[0]) / (curve.knots[n] - a)
     v = (b - a) * (d_prime_a - start_velocity)
     scale = max(1.0, float(np.linalg.norm(d_prime_a)),
                 float(np.linalg.norm(start_velocity)))

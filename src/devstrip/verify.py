@@ -20,6 +20,9 @@ from .strip import RuledPatch
 # (apex of a triangular patch); the tangent-plane test is 0/0 there.
 COLLAPSED_RULING_REL = 1e-9
 
+# developability_scan floors each factor norm of a sample's residual at this
+# fraction of the patch scale: max(1, the largest control-point norm of
+# either boundary).
 NORM_FLOOR_REL = 1e-12
 # planarity_report floors each edge norm of a cell at this fraction of the
 # cell scale: max(1, the largest norm of its four corners).
@@ -55,8 +58,9 @@ def developability_scan(patch: RuledPatch,
         raise ValueError("samples_per_piece must be at least 2")
     S = samples_per_piece
     block = np.hstack((patch.base.control, patch.opposite.control))
-    # the largest norm of a control point of either boundary, at least 1
-    scale = max(1.0, np.max(np.linalg.norm(block.reshape(-1, 3), axis=1)))
+    # the largest norm of a control point of either boundary, at least 1:
+    # the root of the largest row sum, as np.linalg.norm(axis=1) rounds it
+    scale = max(1.0, math.sqrt((block * block).reshape(-1, 3).sum(axis=1).max()))
     floor = NORM_FLOOR_REL * scale
 
     knots = patch.knots
@@ -83,12 +87,14 @@ def developability_scan(patch: RuledPatch,
     # argmax takes the first maximum; NaN residuals and collapsed rulings
     # never count as the worst
     residual[~(residual > 0.0) | collapsed] = 0.0
-    worst = int(np.argmax(residual))
+    worst = int(residual.argmax())
     arg = patch.domain[0]
     if residual[worst] > 0.0:
         piece, s = divmod(worst, S)
         off = KNOT_SAMPLE_OFFSET_REL * width[piece]
-        arg = float(np.linspace(lo[piece] + off, hi[piece] - off, S)[s])
+        # sample s of np.linspace(start, stop, S), by its own formula
+        start, stop = lo[piece] + off, hi[piece] - off
+        arg = float(stop if s == S - 1 else start + s * ((stop - start) / (S - 1)))
     return DevelopabilityScan(float(residual[worst]), arg,
                               residual.size - skipped, skipped)
 
@@ -134,7 +140,7 @@ def planarity_report(strip: RuledPatch) -> list[float]:
     d = strip.opposite.control
     ci, cj, di, dj = c[:-1], c[1:], d[:-1], d[1:]
     e1, e2, e3 = cj - ci, di - ci, dj - ci
-    det = np.linalg.det(np.stack((e1, e2, e3), axis=-1))
+    det = np.linalg.det(np.array((e1, e2, e3)).transpose(1, 2, 0))
     corners = np.maximum.reduce([_row_norms(p) for p in (ci, cj, di, dj)])
     floor = PLANARITY_FLOOR_REL * np.maximum(1.0, corners)
     n1, n2, n3 = (np.maximum(_row_norms(e), floor) for e in (e1, e2, e3))

@@ -182,20 +182,26 @@ def assert_scan_close(scan, patch, reference, shortest):
         assert scan.argmax_u == reference.argmax_u, (scan, reference)
 
 
-def loop_blossom_on_span(curve, span, values):
-    """Polar form of the piece on knot span `span`, one point at a time."""
-    n = curve.degree
-    u = curve.knots
-    pts = curve.control[span - n + 1 : span + 2].astype(float)
-    for r in range(1, n + 1):
+def loop_de_boor(knots, control, span, values, stages):
+    """The n+1 points, as (n+1, c), after the first `stages` stages of de
+    Boor's recursion on knot span `span` at `values`, one point at a time."""
+    n = knots.degree
+    pts = control[span - n + 1 : span + 2].astype(float)
+    for r in range(1, stages + 1):
         v = values[r - 1]
         for i in range(n, r - 1, -1):
             g = span - n + 1 + i  # global control index of pts[i]
-            lo = u[g - 1]
-            hi = u[g + n - r]
+            lo = knots[g - 1]
+            hi = knots[g + n - r]
             w = (v - lo) / (hi - lo)
             pts[i] = (1.0 - w) * pts[i - 1] + w * pts[i]
-    return pts[n]
+    return pts
+
+
+def loop_blossom_on_span(curve, span, values):
+    """Polar form of the piece on knot span `span`, one point at a time."""
+    n = curve.degree
+    return loop_de_boor(curve.knots, curve.control, span, values, n)[n]
 
 
 def loop_span_for(knots, u):

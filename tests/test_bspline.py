@@ -11,7 +11,7 @@ from devstrip.solvers import _rescaled_pair
 
 import reference as ref
 from helpers import (assert_point_close, assert_polygon_close, blossom,
-                     insert_knot, inserted_knots)
+                     insert_knot, inserted_knots, loop_de_boor)
 
 
 class TestKnotVector:
@@ -325,3 +325,42 @@ class TestKernelCalls:
             calls.clear()
         export_obj(patch)
         assert columns() == [6]
+
+
+class TestStageTables:
+    """The kernel's index tables are cached, so they must stay read-only,
+    and its one pass of blend weights must give every partial triangle the
+    loop reference gives, at every stage count."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_tables_are_read_only(self, degree):
+        tables = (*bspline._stage_table(degree, degree),
+                  *bspline._stage_table(degree, degree - 1),
+                  *bspline._window_tables(degree))
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_de_boor_matches_the_loop_at_every_stage_count(self, degree):
+        # stage counts 0..n, with as many argument columns as stages (the
+        # layout of _point_and_velocity's n - 1 stages) and with all n; the
+        # arguments range past the piece and past the domain, and the rows
+        # mix spans, over two control columns of three coordinates; above
+        # degree 1 one inner knot is double
+        n = degree
+        rng = np.random.default_rng(n)
+        inner = rng.uniform(0.1, 0.9, 4).tolist()
+        if n > 1:
+            inner.append(inner[0])
+        kv = KnotVector([0.0] * n + sorted(inner) + [1.0] * n, n)
+        control = rng.uniform(-1.0, 1.0, (kv.control_count, 6))
+        spans = kv._spans_for(rng.uniform(0.0, 1.0, 12))
+        args = rng.uniform(-1.0, 2.0, (12, n))
+        for stages in range(n + 1):
+            want = np.array([loop_de_boor(kv, control, span, row, stages)
+                             for span, row in zip(spans, args)])
+            for columns in (args[:, :stages], args):
+                got = bspline._de_boor(kv, control, spans, columns, stages)
+                assert np.array_equal(got, want.transpose(1, 2, 0))

@@ -100,7 +100,7 @@ class TestTopLevel:
         assert not unused, f"{module} imports unused names: {unused}"
 
     @pytest.mark.parametrize("module", ["bspline.py", "solvers.py",
-                                        "strip.py"])
+                                        "strip.py", "verify.py"])
     def test_solve_path_calls_no_numpy_wrapper(self, module):
         tree = ast.parse((SOURCES / module).read_text())
         calls = sorted((node.lineno, node.func.attr)

@@ -31,6 +31,7 @@ from devstrip import (
     solve_spec,
 )
 from devstrip import solvers
+from devstrip.bspline import KNOT_EQ_REL
 from devstrip.solvers import _ratio_weights
 
 import reference as ref
@@ -692,6 +693,53 @@ class TestApexDirection:
         own = cubic.derivative_at(0.0)
         with pytest.raises(DegenerateCaseError, match="degenerates"):
             apex_direction(cubic, own)
+
+    @staticmethod
+    def start_curve(degree, first):
+        # three pieces on [0.25, 2], the knots below u_{n-1} = a at `first`
+        rng = np.random.default_rng(degree)
+        inner = sorted(rng.uniform(0.25, 2.0, 2).tolist())
+        knots = [first] * (degree - 1) + [0.25, *inner] + [2.0] * degree
+        return BSplineCurve(knots, rng.uniform(-1.0, 1.0, (degree + 3, 3)),
+                            degree)
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_clamped_start_velocity_is_derivative_at_a(self, degree):
+        # first n knots equal to a: every de Boor weight of derivative_at(a)
+        # is 0, so the closed form gives its bits
+        curve = self.start_curve(degree, 0.25)
+        a, b = curve.domain
+        velocity = np.array((0.5, -1.0, 2.0))
+        assert np.array_equal(apex_direction(curve, velocity),
+                              (b - a) * (velocity - curve.derivative_at(a)))
+
+    @pytest.mark.parametrize("degree", range(2, 7))
+    def test_start_within_the_knot_tolerance_is_taken_as_clamped(self, degree):
+        # the knots below a lie delta = half the knot tolerance under it:
+        # the velocity is still n (c_1 - c_0) / (u_n - a).  Each de Boor
+        # weight at a is at most eps = delta / (u_n - a), and each of the
+        # n - 1 stages moves a point by at most eps times M, the longest of
+        # c_1 - c_0 .. c_n - c_{n-1}, so derivative_at(a) lies within
+        # 2 n (n - 1) eps M / (u_n - a) of the closed form
+        n = degree
+        delta = 0.5 * KNOT_EQ_REL * 1.75
+        curve = self.start_curve(n, 0.25 - delta)
+        ctrl, knots = curve.control, curve.knots
+        a, b = curve.domain
+        assert knots.knot_tolerance == KNOT_EQ_REL * 1.75
+        h = knots[n] - a
+        closed = n * (ctrl[1] - ctrl[0]) / h
+        velocity = np.array((0.5, -1.0, 2.0))
+        assert np.array_equal(apex_direction(curve, velocity),
+                              (b - a) * (velocity - closed))
+        steps = np.linalg.norm(ctrl[1 : n + 1] - ctrl[:n], axis=1).max()
+        gap = np.linalg.norm(curve.derivative_at(a) - closed)
+        assert 0.0 < gap <= 2 * n * (n - 1) * (delta / h) * steps / h
+
+    def test_unclamped_start_rejected(self):
+        curve = self.start_curve(3, 0.0)
+        with pytest.raises(ValueError, match="clamped"):
+            apex_direction(curve, (0.5, -1.0, 2.0))
 
 
 class TestProblem3:

@@ -16,7 +16,8 @@ from devstrip import (
     solve_problem2,
     solve_problem3,
 )
-from devstrip.verify import COLLAPSED_RULING_REL, PLANARITY_FLOOR_REL
+from devstrip.verify import (COLLAPSED_RULING_REL, KNOT_SAMPLE_OFFSET_REL,
+                             NORM_FLOOR_REL, PLANARITY_FLOOR_REL)
 
 import reference as ref
 from helpers import (assert_point_close, assert_scan_close,
@@ -120,6 +121,42 @@ class TestDevelopabilityScan:
                           *loop_developability_scan(patch, samples))
         # the triangular fixture's apex sample is skipped, not failed
         assert (scan.skipped > 0) == (name == "splinet")
+
+    @pytest.mark.parametrize("multiple", [0.5, 2.0])
+    def test_norm_floor_rel(self, multiple):
+        # c' = h e_x with h the multiple of the floor, d' = (h, 1, 0) and
+        # the ruling (0, u, 1), so the determinant is h: the residual is h
+        # over the larger of h and the floor, at the first sample, where
+        # the ruling is unit to within 1e-18
+        scale = np.sqrt(2.0)  # the norm of d_1: h * h is below 2's ulp
+        h = multiple * NORM_FLOOR_REL * scale
+        c = BSplineCurve((0.0, 1.0), ((0.0, 0.0, 0.0), (h, 0.0, 0.0)), 1)
+        d = BSplineCurve((0.0, 1.0), ((0.0, 0.0, 1.0), (h, 1.0, 1.0)), 1)
+        scan = developability_scan(RuledPatch(c, d), samples_per_piece=5)
+        assert scan.max_residual == pytest.approx(min(multiple, 1.0),
+                                                  rel=1e-12)
+        assert scan.argmax_u == KNOT_SAMPLE_OFFSET_REL
+
+    @pytest.mark.parametrize("samples", [20, 101])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_argmax_is_the_linspace_sample(self, samples, where):
+        # c(u) = u e_x and d(u) = (2 u*, u, 1) over three pieces, so the
+        # residual 1 / |d - c| peaks where the ruling is shortest, at u*:
+        # below the domain, on a sample of the middle piece, or above it.
+        # The knots make rounding matter: on the middle piece s (stop -
+        # start) / (S - 1) is not s times the step, and on the last piece
+        # start + (S - 1) step is not stop, which np.linspace returns last
+        knots = (0.25, 0.35, 0.55, 2.0)
+        piece, s = {"first": (0, 0), "middle": (1, samples // 2 - 1),
+                    "last": (2, samples - 1)}[where]
+        lo, hi = knots[piece], knots[piece + 1]
+        off = KNOT_SAMPLE_OFFSET_REL * (hi - lo)
+        want = np.linspace(lo + off, hi - off, samples)[s]
+        peak = {"first": -1.0, "middle": want, "last": 3.0}[where]
+        c = BSplineCurve(knots, [(u, 0.0, 0.0) for u in knots], 1)
+        d = BSplineCurve(knots, [(2.0 * peak, u, 1.0) for u in knots], 1)
+        scan = developability_scan(RuledPatch(c, d), samples)
+        assert scan.argmax_u == want
 
     def test_record_holds_python_numbers(self, quad_strip):
         scan = developability_scan(quad_strip)
