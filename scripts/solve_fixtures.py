@@ -15,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from devstrip import (DegenerateCaseError, InfeasibleProblemError,
                       developability_scan, export_obj, parse_problem,
                       planarity_report, solve_spec)
+from devstrip.fileio import write_output
 
 
 def main(argv=None):
@@ -58,7 +59,8 @@ def main(argv=None):
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             mesh = out / f"{path.stem}.obj"
-            mesh.write_text(export_obj(patch, spec.u_samples, spec.v_samples))
+            write_output(mesh, export_obj(patch, spec.u_samples,
+                                          spec.v_samples))
             print(f"  wrote {mesh}")
 
     return 0

@@ -19,7 +19,8 @@ from typing import Optional
 from . import __version__
 from .errors import DegenerateCaseError, InfeasibleProblemError
 from .fileio import (SolveReport, export_obj, parse_curve, parse_problem,
-                     parse_solution, serialize_curve, serialize_solution)
+                     parse_solution, serialize_curve, serialize_solution,
+                     write_output)
 from .solvers import solve_spec
 from .verify import (DevelopabilityScan, developability_scan,
                      planarity_report)
@@ -116,10 +117,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "solution.json").write_text(serialize_solution(patch))
-    (out / "surface.obj").write_text(export_obj(patch, u_samples, v_samples))
-    (out / "report.json").write_text(report.as_json())
-    (out / "report.txt").write_text(report.as_text())
+    write_output(out / "solution.json", serialize_solution(patch))
+    write_output(out / "surface.obj", export_obj(patch, u_samples, v_samples))
+    write_output(out / "report.json", report.as_json())
+    write_output(out / "report.txt", report.as_text())
 
     roots_text = ", ".join(f"{r:.6g}" for r in solution.m_star_roots)
     print(f"solved {spec.problem_kind}: admissible M* roots [{roots_text}], "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -373,3 +374,27 @@ def export_obj(patch: RuledPatch, u_samples: int = DEFAULT_U_SAMPLES,
              _lines("f %d %d %d", fan),
              _lines("f %d %d %d %d", corners.reshape(-1, 4))]
     return "\n".join(line for line in lines if line) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+def _open_untruncated(path, flags: int) -> int:
+    # as open(path, "w") but without O_TRUNC; 0o666 (less the umask) is
+    # the mode open() gives a new file, where os.open's default is 0o777
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_output(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, overwriting an existing file in
+    place and then cutting it to the new length.
+
+    The file ends up holding exactly the new bytes, as with
+    ``Path.write_text``, but an existing file is not first truncated to
+    zero, which on some filesystems frees (and discards) its blocks only
+    for the write to allocate them again.  Like ``write_text`` this is not
+    atomic: a write that fails part way leaves a partial file."""
+    with open(path, "wb", opener=_open_untruncated) as handle:
+        handle.write(text.encode())
+        handle.truncate()

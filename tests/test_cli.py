@@ -2,7 +2,9 @@
 
 import ast
 import json
+import os
 import shutil
+import stat
 import subprocess
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from helpers import assert_polygon_close
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SOURCES = Path(devstrip.__file__).resolve().parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SOLVE_OUTPUTS = ("solution.json", "surface.obj", "report.json", "report.txt")
 
 
 def fixture_doc(name: str) -> dict:
@@ -142,8 +145,7 @@ class TestSolve:
     def test_problem1_end_to_end(self, tmp_path, capsys):
         code, out = self.run(tmp_path)
         assert code == 0
-        for name in ("solution.json", "surface.obj", "report.json",
-                     "report.txt"):
+        for name in SOLVE_OUTPUTS:
             assert (out / name).exists()
 
         stdout = capsys.readouterr().out
@@ -200,9 +202,49 @@ class TestSolve:
     def test_output_is_byte_deterministic(self, tmp_path):
         _, first = self.run(tmp_path / "a")
         _, second = self.run(tmp_path / "b")
-        for name in ("solution.json", "surface.obj", "report.json",
-                     "report.txt"):
+        for name in SOLVE_OUTPUTS:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_rerun_leaves_exactly_the_new_bytes(self, tmp_path):
+        # outputs are rewritten in place: each must be cut to its new
+        # length, or a longer earlier file leaves its tail behind
+        out = tmp_path / "out"
+        out.mkdir()
+        golden = GOLDEN / "splinet"
+        (out / "report.txt").write_bytes(
+            2 * (golden / "report.txt").read_bytes())
+        coarse = ("--u-samples", "4", "--v-samples", "2")
+        _, fresh = self.run(tmp_path / "fresh", "splinet.json", *coarse)
+        for extra, expected in [((), golden), (coarse, fresh), ((), golden)]:
+            assert run_cli(["solve", "--problem",
+                            str(FIXTURES / "splinet.json"),
+                            "--out", str(out), *extra]) == 0
+            for name in SOLVE_OUTPUTS:
+                assert (out / name).read_bytes() == \
+                    (expected / name).read_bytes(), (extra, name)
+
+    def test_new_outputs_get_the_mode_write_text_gives(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            (tmp_path / "reference.txt").write_text("")
+            code, out = self.run(tmp_path)
+        finally:
+            os.umask(umask)
+        assert code == 0
+        expected = stat.S_IMODE((tmp_path / "reference.txt").stat().st_mode)
+        assert expected == 0o666 & ~0o027
+        for name in SOLVE_OUTPUTS:
+            assert stat.S_IMODE((out / name).stat().st_mode) == expected, name
+
+    def test_output_path_that_is_a_directory_is_an_error(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        (out / "surface.obj").mkdir(parents=True)
+        code, _ = self.run(tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_root_override(self, tmp_path):
         code, out = self.run(tmp_path, "spline3.json", "--root", "1")

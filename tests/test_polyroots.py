@@ -20,6 +20,7 @@ from numpy.polynomial import Polynomial
 from devstrip import BSplineCurve, PlanarSurfaceError, solve_problem1
 from devstrip import solvers
 from devstrip.solvers import CHEB_IMAG_TOL, CHEB_TAIL_REL, _real_roots
+from devstrip.strip import POLE_GUARD_REL
 
 import reference as ref
 from helpers import plant_strip, seed_one_plants, solve_plant
@@ -153,6 +154,35 @@ def test_exclusions_drop_roots_near_banned_values():
             Polynomial.fromroots([0.0, 0.5, 2.0]), [3.0, 3.0, 3.0],
             splits=[0.0, 0.5, 3.0], radius=1e-6)):
         assert roots == pytest.approx([2.0], abs=1e-10)
+
+
+@pytest.mark.parametrize("multiple, kept", [(0.5, False), (2.0, True)])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_exclusion_radius_edge(side, multiple, kept):
+    # solve_problem1's radius, POLE_GUARD_REL of the domain [0, 3], about
+    # the inner split 0.5; the root at 2 lies far from every split
+    radius = POLE_GUARD_REL * 3.0
+    near = 0.5 + side * multiple * radius
+    for roots in on_both_paths(lambda: roots_of(
+            Polynomial.fromroots([near, 2.0]), [3.0, 3.0],
+            splits=[0.0, 0.5, 3.0], radius=radius)):
+        expected = [near, 2.0] if kept else [2.0]
+        assert roots == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the interval [0.5, 3] also finds the left root, 4.8e-6 past its end "
+    "in x, merges it with its own root into one at m = 0.5, and the "
+    "radius drops that"))
+def test_interval_path_keeps_a_pair_straddling_a_split(monkeypatch):
+    # one root 2 radii either side of the split: each is the only root of
+    # its interval, and the pencil keeps both
+    radius = POLE_GUARD_REL * 3.0
+    pair = [0.5 - 2.0 * radius, 0.5 + 2.0 * radius]
+    monkeypatch.setattr(solvers, "_pencil_roots", lambda *args: None)
+    roots = roots_of(Polynomial.fromroots(pair), [3.0, 3.0],
+                     splits=[0.0, 0.5, 3.0], radius=radius)
+    assert roots == pytest.approx(pair, abs=1e-10)
 
 
 def test_exclusion_radius_zero_keeps_inexact_roots():

@@ -11,7 +11,8 @@ from devstrip import (
     planarity_report,
     propagate_polygon,
 )
-from devstrip.strip import CONTROL_RELATION_TOL, RELATION_FLOOR_REL
+from devstrip.strip import (CONTROL_RELATION_TOL, POLE_GUARD_REL,
+                            RELATION_FLOOR_REL)
 
 import reference as ref
 from helpers import (assert_point_close, assert_polygon_close, insert_knot,
@@ -85,6 +86,15 @@ class TestPropagatePolygon:
 
     def test_m_star_beyond_the_guard_is_accepted(self, quad_curve):
         d = propagate_polygon(quad_curve, ref.QUAD_D0, ref.QUAD_LAMBDA, -1e-4)
+        assert np.all(np.isfinite(d.control))
+
+    def test_pole_guard_edge(self, quad_curve):
+        # the domain is [0, 1], so the guard is POLE_GUARD_REL itself
+        with pytest.raises(ValueError, match="pole guard"):
+            propagate_polygon(quad_curve, ref.QUAD_D0, ref.QUAD_LAMBDA,
+                              -0.5 * POLE_GUARD_REL)
+        d = propagate_polygon(quad_curve, ref.QUAD_D0, ref.QUAD_LAMBDA,
+                              -2.0 * POLE_GUARD_REL)
         assert np.all(np.isfinite(d.control))
 
 
