@@ -380,13 +380,13 @@ def export_obj(patch: RuledPatch, u_samples: int = DEFAULT_U_SAMPLES,
 # output files
 
 
-def _open_untruncated(path, flags: int) -> int:
+def _open_untruncated(path: str | os.PathLike, flags: int) -> int:
     # as open(path, "w") but without O_TRUNC; 0o666 (less the umask) is
     # the mode open() gives a new file, where os.open's default is 0o777
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def write_output(path, text: str) -> None:
+def write_output(path: str | os.PathLike, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, overwriting an existing file in
     place and then cutting it to the new length.
 
